@@ -86,7 +86,9 @@ BENCHMARK(BM_Aes128Ctr)->Arg(1024)->Arg(16384);
 
 /** Full-width modular exponentiation operands: an RSA verify-shaped
  * workload (base and exponent as wide as the modulus — worst case for
- * the ladder; the e=65537 public path is far cheaper). */
+ * the ladder; the e=65537 public path is far cheaper). 256 bits is a
+ * CRT half of a 512-bit signature (p, dP), the size every AIK sign and
+ * every Miller-Rabin round of AIK keygen runs at. */
 struct ModExpOperands
 {
     BigUint base, exp, mod;
@@ -95,10 +97,15 @@ struct ModExpOperands
 ModExpOperands
 modExpOperands(std::size_t bits)
 {
-    const RsaKeyPair &kp = bits == 512 ? keyPair512() : keyPair1024();
     ModExpOperands ops;
-    ops.mod = kp.pub.n;
-    ops.exp = kp.priv.d;
+    if (bits == 256) {
+        ops.mod = keyPair512().priv.p;
+        ops.exp = keyPair512().priv.dP;
+    } else {
+        const RsaKeyPair &kp = bits == 512 ? keyPair512() : keyPair1024();
+        ops.mod = kp.pub.n;
+        ops.exp = kp.priv.d;
+    }
     Rng rng(7 + bits);
     ops.base = BigUint::fromBytes(rng.nextBytes(bits / 8)) % ops.mod;
     return ops;
@@ -112,7 +119,7 @@ BM_ModExpLegacy(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(ops.base.modExpLegacy(ops.exp, ops.mod));
 }
-BENCHMARK(BM_ModExpLegacy)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModExpLegacy)->Arg(256)->Arg(512)->Arg(1024);
 
 void
 BM_ModExpMontgomery(benchmark::State &state)
@@ -126,7 +133,7 @@ BM_ModExpMontgomery(benchmark::State &state)
         benchmark::DoNotOptimize(ops.base.modExp(ops.exp, ctx));
     }
 }
-BENCHMARK(BM_ModExpMontgomery)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModExpMontgomery)->Arg(256)->Arg(512)->Arg(1024);
 
 void
 BM_ModExpMontgomeryCtxReuse(benchmark::State &state)
@@ -139,7 +146,7 @@ BM_ModExpMontgomeryCtxReuse(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(ops.base.modExp(ops.exp, ctx));
 }
-BENCHMARK(BM_ModExpMontgomeryCtxReuse)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModExpMontgomeryCtxReuse)->Arg(256)->Arg(512)->Arg(1024);
 
 void
 BM_RsaSign(benchmark::State &state)
@@ -189,6 +196,17 @@ BM_RsaKeygenAik(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RsaKeygenAik)->Arg(512)->Unit(benchmark::kMillisecond);
+
+void
+BM_GeneratePrime256(benchmark::State &state)
+{
+    // One half of a 512-bit AIK: candidate draws, trial division and
+    // the Miller-Rabin rounds (24 on the prime it returns).
+    Rng rng(8);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(BigUint::generatePrime(256, rng));
+}
+BENCHMARK(BM_GeneratePrime256)->Unit(benchmark::kMicrosecond);
 
 void
 BM_HmacDrbg(benchmark::State &state)

@@ -1,6 +1,10 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 
 namespace monatt::crypto
@@ -17,6 +21,87 @@ constexpr std::uint32_t kSmallPrimes[] = {
     227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
     307, 311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383,
     389, 397, 401, 409, 419, 421, 431, 433, 439, 443, 449, 457, 461, 463,
+};
+
+/** A run kSmallPrimes[begin, end) whose product fits in one word. */
+struct PrimeRun
+{
+    std::uint32_t product;
+    std::size_t begin;
+    std::size_t end;
+};
+
+/** kSmallPrimes cut greedily into runs with 32-bit products. */
+struct PrimeRuns
+{
+    std::array<PrimeRun, std::size(kSmallPrimes)> run{};
+    std::size_t count = 0;
+};
+
+constexpr PrimeRuns kPrimeRuns = [] {
+    PrimeRuns runs;
+    std::uint64_t product = 1;
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i <= std::size(kSmallPrimes); ++i) {
+        if (i == std::size(kSmallPrimes) ||
+            product * kSmallPrimes[i] > 0xffffffffULL) {
+            runs.run[runs.count++] = {static_cast<std::uint32_t>(product),
+                                      begin, i};
+            begin = i;
+            product = 1;
+        }
+        if (i < std::size(kSmallPrimes))
+            product *= kSmallPrimes[i];
+    }
+    return runs;
+}();
+
+using Word = std::uint64_t;
+using DWord = unsigned __int128;
+
+constexpr std::size_t kMaxWindowBits = 5;
+
+/** Exponent window: the table costs 2^w - 2 products, each window w
+ * squarings plus at most one product. */
+std::size_t
+windowBits(std::size_t expBits)
+{
+    return expBits > 512  ? kMaxWindowBits
+           : expBits > 128 ? 4
+           : expBits > 24  ? 3
+           : expBits > 8   ? 2
+                           : 1;
+}
+
+/** Words one exponentiation needs under a k-word modulus: the
+ * accumulator, the largest window table and 2k product words. */
+constexpr std::size_t
+scratchWords(std::size_t k)
+{
+    return (1 + (std::size_t(1) << kMaxWindowBits) + 2) * k;
+}
+
+/**
+ * Montgomery scratch: on the stack up to a
+ * MontgomeryContext::kInlineWords-word modulus, one heap block above.
+ */
+class Scratch
+{
+  public:
+    explicit Scratch(std::size_t k)
+    {
+        if (k > MontgomeryContext::kInlineWords) {
+            heap = std::make_unique<Word[]>(scratchWords(k));
+            ptr = heap.get();
+        }
+    }
+
+    Word *get() { return ptr; }
+
+  private:
+    Word inlineWords[scratchWords(MontgomeryContext::kInlineWords)];
+    std::unique_ptr<Word[]> heap;
+    Word *ptr = inlineWords;
 };
 
 } // namespace
@@ -396,7 +481,28 @@ BigUint::shiftRight(std::size_t bits) const
 
 namespace
 {
+
 ModExpEngine gModExpEngine = ModExpEngine::Montgomery;
+
+/** One Miller-Rabin round for n = d * 2^s + 1 on the division ladder:
+ * true when `a` proves n composite. */
+bool
+isWitnessLegacy(const BigUint &n, const BigUint &a, const BigUint &d,
+                std::size_t s)
+{
+    const BigUint one = BigUint::fromU64(1);
+    const BigUint nMinus1 = n - one;
+    BigUint x = a.modExpLegacy(d, n);
+    if (x == one || x == nMinus1)
+        return false;
+    for (std::size_t i = 0; i + 1 < s; ++i) {
+        x = (x * x) % n;
+        if (x == nMinus1)
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 ModExpEngine
@@ -455,107 +561,212 @@ MontgomeryContext::MontgomeryContext(const BigUint &modulus) : m(modulus)
         throw std::domain_error(
             "MontgomeryContext: modulus must be odd and nonzero");
 
-    n = m.limb;
-    const std::size_t k = n.size();
+    k = (m.limb.size() + 1) / 2;
+    n.resize(k);
+    load(m, n.data());
 
-    // n' = -n^-1 mod 2^32 via Newton iteration: starting from x = n0
+    // n' = -n^-1 mod 2^64 via Newton iteration: starting from x = n0
     // (correct mod 8 for odd n0), each step doubles the valid bits.
-    const std::uint32_t n0 = n[0];
-    std::uint32_t inv = n0;
+    const Word n0 = n[0];
+    Word inv = n0;
     for (int i = 0; i < 5; ++i)
         inv *= 2 - n0 * inv;
-    nPrime = static_cast<std::uint32_t>(0) - inv;
+    nPrime = Word{0} - inv;
 
-    // R mod n and R^2 mod n, R = 2^(32k), via one shift and division.
-    const BigUint r = BigUint::fromU64(1).shiftLeft(32 * k);
-    BigUint rMod = r % m;
-    BigUint rrMod = (rMod * rMod) % m;
-    rModN = std::move(rMod.limb);
-    rModN.resize(k, 0);
-    rrModN = std::move(rrMod.limb);
-    rrModN.resize(k, 0);
+    // R mod n and R^2 mod n, R = 2^(64k), via one shift and division.
+    const BigUint rMod = BigUint::fromU64(1).shiftLeft(64 * k) % m;
+    one.resize(k);
+    load(rMod, one.data());
+    rr.resize(k);
+    load((rMod * rMod) % m, rr.data());
 }
 
 void
-MontgomeryContext::montMul(const Limbs &a, const Limbs &b, Limbs &out) const
+MontgomeryContext::load(const BigUint &value, Word *out) const
 {
-    const std::size_t k = n.size();
-    Limbs t(k + 2, 0);
+    std::fill(out, out + k, 0);
+    for (std::size_t i = 0; i < value.limb.size(); ++i)
+        out[i / 2] |= Word{value.limb[i]} << (32 * (i % 2));
+}
 
+namespace
+{
+
+// Word kernels over k-word little-endian operands; the caller owns
+// every buffer and passes the modulus n and n' = -n^-1 mod 2^64.
+
+/** out = (a - b) mod 2^(64k) over k words; out may alias a or b. */
+void
+subWords(const Word *a, const Word *b, std::size_t k, Word *out)
+{
+    Word borrow = 0;
     for (std::size_t i = 0; i < k; ++i) {
-        // t += a[i] * b.
-        const std::uint64_t ai = a[i];
-        std::uint64_t carry = 0;
-        for (std::size_t j = 0; j < k; ++j) {
-            const std::uint64_t cur = t[j] + ai * b[j] + carry;
-            t[j] = static_cast<std::uint32_t>(cur);
-            carry = cur >> 32;
-        }
-        std::uint64_t cur = t[k] + carry;
-        t[k] = static_cast<std::uint32_t>(cur);
-        t[k + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-        // t = (t + mFac * n) / 2^32; mFac chosen so t becomes
-        // divisible by the word base.
-        const std::uint32_t mFac = t[0] * nPrime;
-        cur = t[0] + static_cast<std::uint64_t>(mFac) * n[0];
-        carry = cur >> 32;
-        for (std::size_t j = 1; j < k; ++j) {
-            cur = t[j] + static_cast<std::uint64_t>(mFac) * n[j] + carry;
-            t[j - 1] = static_cast<std::uint32_t>(cur);
-            carry = cur >> 32;
-        }
-        cur = static_cast<std::uint64_t>(t[k]) + carry;
-        t[k - 1] = static_cast<std::uint32_t>(cur);
-        t[k] = t[k + 1] + static_cast<std::uint32_t>(cur >> 32);
-        t[k + 1] = 0;
+        const DWord diff = DWord{a[i]} - b[i] - borrow;
+        out[i] = static_cast<Word>(diff);
+        borrow = static_cast<Word>(diff >> 64) & 1;
     }
+}
 
-    // Result is in t[0..k] and is < 2n; one conditional subtract.
-    bool geq = t[k] != 0;
+/** out = v - n when v + top * 2^(64k) >= n, else v; k words each. The
+ * Montgomery products end here with a value below 2n. */
+void
+reduceOnce(const Word *v, Word top, const Word *n, std::size_t k, Word *out)
+{
+    bool geq = top != 0;
     if (!geq) {
         geq = true;
         for (std::size_t i = k; i-- > 0;) {
-            if (t[i] != n[i]) {
-                geq = t[i] > n[i];
+            if (v[i] != n[i]) {
+                geq = v[i] > n[i];
                 break;
             }
         }
     }
-    out.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k));
-    if (geq) {
-        std::int64_t borrow = 0;
-        for (std::size_t i = 0; i < k; ++i) {
-            std::int64_t diff = static_cast<std::int64_t>(out[i]) -
-                                static_cast<std::int64_t>(n[i]) - borrow;
-            if (diff < 0) {
-                diff += 1LL << 32;
-                borrow = 1;
-            } else {
-                borrow = 0;
-            }
-            out[i] = static_cast<std::uint32_t>(diff);
+    if (geq)
+        subWords(v, n, k, out);
+    else
+        std::copy(v, v + k, out);
+}
+
+/** out = t * R^-1 mod n for t < n * R held in 2k words (clobbered). */
+void
+redc(Word *t, const Word *n, Word nPrime, std::size_t k, Word *out)
+{
+    Word top = 0; // Carry into t[i + k] from the previous row.
+    for (std::size_t i = 0; i < k; ++i) {
+        const Word mFac = t[i] * nPrime;
+        Word carry = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+            const DWord cur = DWord{mFac} * n[j] + t[i + j] + carry;
+            t[i + j] = static_cast<Word>(cur);
+            carry = static_cast<Word>(cur >> 64);
         }
+        const DWord cur = DWord{t[i + k]} + carry + top;
+        t[i + k] = static_cast<Word>(cur);
+        top = static_cast<Word>(cur >> 64);
+    }
+    reduceOnce(t + k, top, n, k, out);
+}
+
+/** out = a * b * R^-1 mod n (CIOS). a, b, out hold k words and out may
+ * alias either input; t holds k + 1 words. */
+void
+montMul(const Word *a, const Word *b, const Word *n, Word nPrime,
+        std::size_t k, Word *out, Word *t)
+{
+    // Fused CIOS: each row adds a[i] * b and mFac * n, with mFac chosen
+    // so the low word cancels, and shifts down one word.
+    std::fill(t, t + k + 1, 0);
+    for (std::size_t i = 0; i < k; ++i) {
+        const Word ai = a[i];
+        DWord cur = DWord{ai} * b[0] + t[0];
+        Word carry = static_cast<Word>(cur >> 64);
+        const Word mFac = static_cast<Word>(cur) * nPrime;
+        DWord red = DWord{mFac} * n[0] + static_cast<Word>(cur);
+        Word redCarry = static_cast<Word>(red >> 64);
+        for (std::size_t j = 1; j < k; ++j) {
+            cur = DWord{ai} * b[j] + t[j] + carry;
+            carry = static_cast<Word>(cur >> 64);
+            red = DWord{mFac} * n[j] + static_cast<Word>(cur) + redCarry;
+            redCarry = static_cast<Word>(red >> 64);
+            t[j - 1] = static_cast<Word>(red);
+        }
+        cur = DWord{t[k]} + carry + redCarry;
+        t[k - 1] = static_cast<Word>(cur);
+        t[k] = static_cast<Word>(cur >> 64);
+    }
+    reduceOnce(t, t[k], n, k, out);
+}
+
+/** out = a * a * R^-1 mod n. out may alias a; t holds 2k words. */
+void
+montSqr(const Word *a, const Word *n, Word nPrime, std::size_t k, Word *out,
+        Word *t)
+{
+    // Each cross product a[i] * a[j], i < j, once...
+    std::fill(t, t + 2 * k, 0);
+    for (std::size_t i = 0; i + 1 < k; ++i) {
+        const Word ai = a[i];
+        Word carry = 0;
+        for (std::size_t j = i + 1; j < k; ++j) {
+            const DWord cur = DWord{ai} * a[j] + t[i + j] + carry;
+            t[i + j] = static_cast<Word>(cur);
+            carry = static_cast<Word>(cur >> 64);
+        }
+        t[i + k] = carry;
+    }
+    // ...then doubled, plus the squares on the diagonal.
+    Word shifted = 0;
+    for (std::size_t i = 0; i < 2 * k; ++i) {
+        const Word word = t[i];
+        t[i] = (word << 1) | shifted;
+        shifted = word >> 63;
+    }
+    Word carry = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+        const DWord square = DWord{a[i]} * a[i];
+        DWord cur = DWord{t[2 * i]} + static_cast<Word>(square) + carry;
+        t[2 * i] = static_cast<Word>(cur);
+        cur = DWord{t[2 * i + 1]} + static_cast<Word>(square >> 64) +
+              static_cast<Word>(cur >> 64);
+        t[2 * i + 1] = static_cast<Word>(cur);
+        carry = static_cast<Word>(cur >> 64);
+    }
+    redc(t, n, nPrime, k, out);
+}
+
+} // namespace
+
+void
+MontgomeryContext::powMont(const BigUint &base, const BigUint &exp,
+                           Word *out, Word *scratch) const
+{
+    const std::size_t bits = exp.bitLength();
+    const std::size_t w = windowBits(bits);
+    const std::size_t entries = std::size_t(1) << w;
+    Word *table = scratch; // entries * k words: base^i in Montgomery form
+    Word *t = scratch + entries * k;
+
+    Word *x = table + k;
+    if (base < m)
+        load(base, x);
+    else
+        load(base % m, x);
+    montMul(x, rr.data(), n.data(), nPrime, k, x, t);
+    std::copy(one.begin(), one.end(), table);
+    for (std::size_t i = 2; i < entries; ++i)
+        montMul(table + (i - 1) * k, x, n.data(), nPrime, k, table + i * k, t);
+
+    const std::size_t chunks = (bits + w - 1) / w;
+    for (std::size_t c = chunks; c-- > 0;) {
+        std::size_t digit = 0;
+        for (std::size_t b = 0; b < w; ++b) {
+            if (exp.bit(c * w + b))
+                digit |= std::size_t(1) << b;
+        }
+        if (c + 1 == chunks) {
+            std::copy(table + digit * k, table + (digit + 1) * k, out);
+            continue;
+        }
+        for (std::size_t s = 0; s < w; ++s)
+            montSqr(out, n.data(), nPrime, k, out, t);
+        if (digit != 0)
+            montMul(out, table + digit * k, n.data(), nPrime, k, out, t);
     }
 }
 
-MontgomeryContext::Limbs
-MontgomeryContext::toMont(const BigUint &value) const
-{
-    Limbs v = value.limb;
-    v.resize(n.size(), 0);
-    Limbs out;
-    montMul(v, rrModN, out);
-    return out;
-}
-
 BigUint
-MontgomeryContext::fromMont(const Limbs &value) const
+MontgomeryContext::fromMont(Word *a, Word *t) const
 {
-    Limbs oneLimb(n.size(), 0);
-    oneLimb[0] = 1;
+    std::copy(a, a + k, t);
+    std::fill(t + k, t + 2 * k, 0);
+    redc(t, n.data(), nPrime, k, a);
     BigUint out;
-    montMul(value, oneLimb, out.limb);
+    out.limb.resize(2 * k);
+    for (std::size_t i = 0; i < k; ++i) {
+        out.limb[2 * i] = static_cast<std::uint32_t>(a[i]);
+        out.limb[2 * i + 1] = static_cast<std::uint32_t>(a[i] >> 32);
+    }
     out.trim();
     return out;
 }
@@ -563,49 +774,37 @@ MontgomeryContext::fromMont(const Limbs &value) const
 BigUint
 MontgomeryContext::modExp(const BigUint &base, const BigUint &exp) const
 {
-    if (m == BigUint::fromU64(1))
+    if (k == 1 && n[0] == 1)
         return BigUint();
     if (exp.isZero())
         return BigUint::fromU64(1);
 
-    const std::size_t bits = exp.bitLength();
+    Scratch scratch(k);
+    Word *acc = scratch.get();
+    powMont(base, exp, acc, acc + k);
+    return fromMont(acc, acc + k);
+}
 
-    // Fixed window sized to the exponent: the table costs 2^w - 2
-    // products, each window costs w squarings plus at most one product.
-    const std::size_t w =
-        bits > 512 ? 5 : bits > 128 ? 4 : bits > 24 ? 3 : bits > 8 ? 2 : 1;
+bool
+MontgomeryContext::isWitness(const BigUint &a, const BigUint &d,
+                             std::size_t s) const
+{
+    Scratch scratch(k);
+    Word *x = scratch.get();
+    Word *minusOne = x + k; // reuses the window table once powMont is done
+    Word *t = minusOne + k;
 
-    const Limbs x = toMont(base % m);
-    std::vector<Limbs> table(std::size_t(1) << w);
-    table[0] = rModN;
-    table[1] = x;
-    for (std::size_t i = 2; i < table.size(); ++i)
-        montMul(table[i - 1], x, table[i]);
-
-    const std::size_t chunks = (bits + w - 1) / w;
-    Limbs acc;
-    Limbs tmp;
-    for (std::size_t c = chunks; c-- > 0;) {
-        std::size_t digit = 0;
-        for (std::size_t b = 0; b < w; ++b) {
-            const std::size_t bitIndex = c * w + b;
-            if (bitIndex < bits && exp.bit(bitIndex))
-                digit |= std::size_t(1) << b;
-        }
-        if (c + 1 == chunks) {
-            acc = table[digit];
-            continue;
-        }
-        for (std::size_t s = 0; s < w; ++s) {
-            montMul(acc, acc, tmp);
-            acc.swap(tmp);
-        }
-        if (digit != 0) {
-            montMul(acc, table[digit], tmp);
-            acc.swap(tmp);
-        }
+    powMont(a, d, x, minusOne);
+    subWords(n.data(), one.data(), k, minusOne); // -1 is n - R mod n
+    const auto equals = [&](const Word *y) { return std::equal(x, x + k, y); };
+    if (equals(one.data()) || equals(minusOne))
+        return false;
+    for (std::size_t i = 0; i + 1 < s; ++i) {
+        montSqr(x, n.data(), nPrime, k, x, t);
+        if (equals(minusOne))
+            return false;
     }
-    return fromMont(acc);
+    return true;
 }
 
 BigUint
@@ -666,26 +865,26 @@ BigUint::modInverse(const BigUint &m) const
 bool
 BigUint::isProbablePrime(Rng &rng, int rounds) const
 {
-    const BigUint one = fromU64(1);
-    const BigUint two = fromU64(2);
-    const BigUint three = fromU64(3);
-    if (*this < two)
-        return false;
-    if (*this == two || *this == three)
-        return true;
+    if (bitLength() <= 2)
+        return bitLength() == 2; // 2 and 3
     if (!isOdd())
         return false;
 
-    for (std::uint32_t p : kSmallPrimes) {
-        const BigUint bp = fromU64(p);
-        if (*this == bp)
-            return true;
-        if ((*this % bp).isZero())
-            return false;
+    // Trial division: one word remainder over the limbs per run of
+    // small primes, then one per prime.
+    for (std::size_t r = 0; r < kPrimeRuns.count; ++r) {
+        const PrimeRun &run = kPrimeRuns.run[r];
+        std::uint64_t rem = 0;
+        for (std::size_t i = limb.size(); i-- > 0;)
+            rem = ((rem << 32) | limb[i]) % run.product;
+        for (std::size_t j = run.begin; j < run.end; ++j) {
+            if (rem % kSmallPrimes[j] == 0)
+                return limb.size() == 1 && limb[0] == kSmallPrimes[j];
+        }
     }
 
     // Write n-1 = d * 2^s with d odd.
-    const BigUint nMinus1 = *this - one;
+    const BigUint nMinus1 = *this - fromU64(1);
     BigUint d = nMinus1;
     std::size_t s = 0;
     while (!d.isOdd()) {
@@ -693,20 +892,14 @@ BigUint::isProbablePrime(Rng &rng, int rounds) const
         ++s;
     }
 
+    // One context serves every round; the bases are drawn exactly as
+    // the legacy engine draws them.
+    std::optional<MontgomeryContext> ctx;
+    if (gModExpEngine == ModExpEngine::Montgomery)
+        ctx.emplace(*this);
     for (int round = 0; round < rounds; ++round) {
         const BigUint a = randomBelow(nMinus1, rng);
-        BigUint x = a.modExp(d, *this);
-        if (x == one || x == nMinus1)
-            continue;
-        bool witness = true;
-        for (std::size_t i = 0; i + 1 < s; ++i) {
-            x = (x * x) % *this;
-            if (x == nMinus1) {
-                witness = false;
-                break;
-            }
-        }
-        if (witness)
+        if (ctx ? ctx->isWitness(a, d, s) : isWitnessLegacy(*this, a, d, s))
             return false;
     }
     return true;

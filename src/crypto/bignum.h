@@ -5,9 +5,11 @@
  * A small big-integer implementation (little-endian 32-bit limbs,
  * schoolbook multiplication, Knuth Algorithm-D division) sized for the
  * 512-2048 bit moduli used by CloudMonatt's identity and attestation
- * keys. Not constant time — the simulated adversary is the Dolev-Yao
- * network attacker of §3.3, not a local timing attacker on the Trust
- * Module, which the paper assumes is protected hardware.
+ * keys; odd-modulus exponentiation runs in MontgomeryContext on 64-bit
+ * words with 128-bit products. Not constant time — the simulated
+ * adversary is the Dolev-Yao network attacker of §3.3, not a local
+ * timing attacker on the Trust Module, which the paper assumes is
+ * protected hardware.
  */
 
 #ifndef MONATT_CRYPTO_BIGNUM_H
@@ -146,7 +148,9 @@ class BigUint
      */
     BigUint modInverse(const BigUint &m) const;
 
-    /** Miller-Rabin probabilistic primality test. */
+    /** Trial division by the odd primes up to 463, then `rounds`
+     * Miller-Rabin rounds under one MontgomeryContext (on the division
+     * ladder when the Legacy engine is selected). */
     bool isProbablePrime(Rng &rng, int rounds = 24) const;
 
     /** Generate a random probable prime with exactly `bits` bits. */
@@ -163,20 +167,33 @@ class BigUint
 
 /**
  * Precomputed constants for Montgomery modular arithmetic under one
- * fixed odd modulus n: the word inverse n' = -n^-1 mod 2^32, R mod n
- * and R^2 mod n for R = 2^(32*k). Exponentiation runs a fixed-window
- * ladder over CIOS Montgomery products, replacing the per-step Knuth
- * division of the legacy ladder with word-level reductions.
+ * fixed odd modulus n of k 64-bit words: the word inverse
+ * n' = -n^-1 mod 2^64, R mod n and R^2 mod n for R = 2^(64*k).
+ * Exponentiation runs a fixed-window ladder over CIOS Montgomery
+ * products (128-bit word products, a dedicated squaring path),
+ * replacing the per-step Knuth division of the legacy ladder with
+ * word-level reductions.
+ *
+ * The ladder's loops allocate nothing: its window table, accumulator
+ * and product scratch live in one contiguous buffer, on the stack for
+ * moduli up to kInlineWords words (2048 bits) and in one heap block
+ * above that. Results do not depend on the word size, so BigUint keeps
+ * its 32-bit storage.
  *
  * RSA moduli, primes and CRT factors are always odd, so every protocol
  * exponentiation qualifies. Construction costs one division (for
  * R^2 mod n); the per-key context caches in the Trust Module, the
  * secure channels and the Attestation Server exist to pay it once per
- * key instead of once per operation.
+ * key instead of once per operation, and Miller-Rabin pays it once
+ * per candidate.
  */
 class MontgomeryContext
 {
   public:
+    /** Largest modulus, in 64-bit words, whose scratch fits on the
+     * stack. */
+    static constexpr std::size_t kInlineWords = 32;
+
     /** @throws std::domain_error when `modulus` is even or zero. */
     explicit MontgomeryContext(const BigUint &modulus);
 
@@ -186,20 +203,35 @@ class MontgomeryContext
     BigUint modExp(const BigUint &base, const BigUint &exp) const;
 
   private:
-    using Limbs = std::vector<std::uint32_t>;
+    friend class BigUint;
 
-    /** out = a * b * R^-1 mod n (CIOS). All vectors are k limbs. */
-    void montMul(const Limbs &a, const Limbs &b, Limbs &out) const;
+    using Word = std::uint64_t;
 
-    /** Convert into / out of the Montgomery domain. */
-    Limbs toMont(const BigUint &value) const;
-    BigUint fromMont(const Limbs &value) const;
+    /** out (k words) = base ^ exp in the Montgomery domain, for a
+     * nonzero exp; `scratch` holds 2^5 + 2 blocks of k words. */
+    void powMont(const BigUint &base, const BigUint &exp, Word *out,
+                 Word *scratch) const;
+
+    /**
+     * One Miller-Rabin round for an odd n = d * 2^s + 1: true when
+     * `a` proves n composite. The squarings stay in the Montgomery
+     * domain.
+     */
+    bool isWitness(const BigUint &a, const BigUint &d, std::size_t s) const;
+
+    /** value (already < n) as k little-endian words. */
+    void load(const BigUint &value, Word *out) const;
+
+    /** a converted back from the Montgomery domain (a is clobbered;
+     * t holds 2k words). */
+    BigUint fromMont(Word *a, Word *t) const;
 
     BigUint m;
-    Limbs n;                  //!< Modulus limbs (size k).
-    Limbs rModN;              //!< R mod n (1 in Montgomery form).
-    Limbs rrModN;             //!< R^2 mod n.
-    std::uint32_t nPrime = 0; //!< -n^-1 mod 2^32.
+    std::size_t k = 0;      //!< Modulus size in 64-bit words.
+    std::vector<Word> n;    //!< Modulus words (k).
+    std::vector<Word> one;  //!< R mod n: 1 in Montgomery form (k).
+    std::vector<Word> rr;   //!< R^2 mod n (k).
+    Word nPrime = 0;        //!< -n^-1 mod 2^64.
 };
 
 } // namespace monatt::crypto

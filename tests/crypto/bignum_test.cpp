@@ -5,6 +5,8 @@
  * invariant backing RSA correctness).
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -132,6 +134,83 @@ TEST(BigUintTest, PrimalityKnownValues)
     EXPECT_FALSE(BigUint::fromU64(561).isProbablePrime(rng));
     // Large known prime: 2^61 - 1.
     EXPECT_TRUE(BigUint::fromU64((1ULL << 61) - 1).isProbablePrime(rng));
+}
+
+/** Sieve of Eratosthenes: isPrime[i] for i < n. */
+std::vector<bool>
+sieve(std::size_t n)
+{
+    std::vector<bool> isPrime(n, true);
+    isPrime[0] = isPrime[1] = false;
+    for (std::size_t i = 2; i * i < n; ++i) {
+        if (isPrime[i]) {
+            for (std::size_t j = i * i; j < n; j += i)
+                isPrime[j] = false;
+        }
+    }
+    return isPrime;
+}
+
+TEST(BigUintTest, PrimalityMatchesSieve)
+{
+    // Covers every trial-division prime (3..463), its multiples and
+    // squares below the bound, and the first primes that only
+    // Miller-Rabin can certify.
+    Rng rng(43);
+    const std::vector<bool> isPrime = sieve(5000);
+    for (std::size_t v = 0; v < isPrime.size(); ++v) {
+        EXPECT_EQ(BigUint::fromU64(v).isProbablePrime(rng), isPrime[v])
+            << v;
+    }
+}
+
+TEST(BigUintTest, PrimalityTrialDivisionEdges)
+{
+    Rng rng(44);
+    const auto prime = [&](std::uint64_t v) {
+        return BigUint::fromU64(v).isProbablePrime(rng);
+    };
+    EXPECT_TRUE(prime(463));  // the largest trial-division prime
+    EXPECT_TRUE(prime(467));  // the first prime above it
+    EXPECT_FALSE(prime(463ULL * 463));
+    EXPECT_FALSE(prime(463ULL * 467));
+    EXPECT_FALSE(prime(467ULL * 467)); // no small factor
+    // Carmichael numbers: trial division catches these...
+    EXPECT_FALSE(prime(561));
+    EXPECT_FALSE(prime(41041));
+    EXPECT_FALSE(prime(825265));
+    // ...and Miller-Rabin this one, 601 * 1201 * 1801.
+    EXPECT_FALSE(prime(1299963601ULL));
+
+    // Multi-limb values: Mersenne primes, and small factors in the
+    // low and high limbs.
+    const BigUint one = BigUint::fromU64(1);
+    const BigUint m89 = one.shiftLeft(89) - one;
+    const BigUint m127 = one.shiftLeft(127) - one;
+    EXPECT_TRUE(m89.isProbablePrime(rng));
+    EXPECT_TRUE(m127.isProbablePrime(rng));
+    EXPECT_FALSE((m89 * BigUint::fromU64(3)).isProbablePrime(rng));
+    EXPECT_FALSE((m127 * BigUint::fromU64(463)).isProbablePrime(rng));
+    EXPECT_FALSE((m89 * m127).isProbablePrime(rng));
+}
+
+TEST(BigUintTest, TrialDivisionRejectsBeforeDrawingBases)
+{
+    // Every odd prime up to 463 is a trial divisor: a multiple of one
+    // is rejected before Miller-Rabin draws a base from the RNG.
+    const std::vector<bool> isPrime = sieve(468);
+    const BigUint m61 = BigUint::fromU64((1ULL << 61) - 1);
+    for (std::size_t p = 3; p < isPrime.size(); ++p) {
+        if (!isPrime[p])
+            continue;
+        Rng rng(p);
+        Rng untouched(p);
+        EXPECT_FALSE((m61 * BigUint::fromU64(p)).isProbablePrime(rng)) << p;
+        if (p <= 463)
+            EXPECT_EQ(rng.next(), untouched.next()) << p;
+        else
+            EXPECT_NE(rng.next(), untouched.next()) << p; // Miller-Rabin
+    }
 }
 
 TEST(BigUintTest, GeneratePrimeHasRequestedSize)

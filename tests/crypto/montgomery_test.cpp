@@ -158,6 +158,122 @@ TEST(MontgomeryTest, EngineSwitchForcesLegacyEverywhere)
     EXPECT_EQ(fast, slow);
 }
 
+// --- Edge cases of the 64-bit word core ------------------------------
+
+/** A random odd modulus of exactly `bits` bits. */
+BigUint
+exactOddModulus(Rng &rng, std::size_t bits)
+{
+    BigUint m = BigUint::randomWithBits(bits, rng);
+    if (!m.isOdd())
+        m = m + BigUint::fromU64(1);
+    return m;
+}
+
+/** Checks modExp, one-shot and through a reused context, against the
+ * legacy ladder for one modulus and a spread of bases and exponents. */
+void
+expectMatchesLegacy(const BigUint &m, Rng &rng)
+{
+    SCOPED_TRACE("modulus " + m.toHexString());
+    const MontgomeryContext ctx(m);
+    const std::size_t bits = m.bitLength();
+    for (const std::size_t expBits : {std::size_t{17}, bits, 2 * bits}) {
+        const BigUint base = BigUint::randomWithBits(bits + 7, rng);
+        const BigUint exp = BigUint::randomWithBits(expBits, rng);
+        const BigUint want = base.modExpLegacy(exp, m);
+        EXPECT_EQ(base.modExp(exp, m), want) << expBits << "-bit exponent";
+        EXPECT_EQ(ctx.modExp(base, exp), want) << expBits << "-bit exponent";
+        EXPECT_EQ(ctx.modExp(base % m, exp), want);
+    }
+}
+
+TEST(MontgomeryEdgeTest, OddLimbCountModuli)
+{
+    // 3, 9 and 17 32-bit limbs: the top 64-bit word is half full.
+    Rng rng(0x96);
+    for (const std::size_t bits : {96u, 288u, 544u}) {
+        const BigUint m = exactOddModulus(rng, bits);
+        ASSERT_EQ(m.bitLength(), bits);
+        expectMatchesLegacy(m, rng);
+    }
+}
+
+TEST(MontgomeryEdgeTest, AllOnesModuli)
+{
+    Rng rng(0x521);
+    const BigUint one = BigUint::fromU64(1);
+    // 2^521 - 1 (a Mersenne prime) and 2^512 - 1 (every word all ones).
+    for (const std::size_t bits : {521u, 512u, 64u, 32u}) {
+        const BigUint m = one.shiftLeft(bits) - one;
+        expectMatchesLegacy(m, rng);
+    }
+    const BigUint mersenne = one.shiftLeft(521) - one;
+    const BigUint base = BigUint::fromU64(3);
+    // Fermat: 3^(p-1) = 1 mod p.
+    EXPECT_EQ(base.modExp(mersenne - one, mersenne), one);
+}
+
+TEST(MontgomeryEdgeTest, TinyModulusAndTrivialOperands)
+{
+    const BigUint three = BigUint::fromU64(3);
+    const MontgomeryContext ctx(three);
+    for (std::uint64_t b = 0; b < 10; ++b) {
+        for (std::uint64_t e = 0; e < 6; ++e) {
+            const BigUint base = BigUint::fromU64(b);
+            const BigUint exp = BigUint::fromU64(e);
+            EXPECT_EQ(ctx.modExp(base, exp), base.modExpLegacy(exp, three))
+                << b << "^" << e << " mod 3";
+        }
+    }
+
+    Rng rng(0x33);
+    const BigUint m = exactOddModulus(rng, 512);
+    const MontgomeryContext big(m);
+    const BigUint base = BigUint::randomWithBits(300, rng);
+    const BigUint zero;
+    const BigUint one = BigUint::fromU64(1);
+    EXPECT_EQ(big.modExp(base, zero), one);
+    EXPECT_EQ(big.modExp(base, one), base);
+    EXPECT_EQ(big.modExp(zero, one), zero);
+    EXPECT_EQ(big.modExp(zero, BigUint::fromU64(65537)), zero);
+    // Base equal to, and a multiple plus one of, the modulus.
+    EXPECT_EQ(big.modExp(m, BigUint::fromU64(5)), zero);
+    EXPECT_EQ(big.modExp(m * BigUint::fromU64(7) + one, m), one);
+    EXPECT_EQ(big.modExp(m - one, BigUint::fromU64(2)), one);
+}
+
+TEST(MontgomeryEdgeTest, ModulusAboveInlineScratch)
+{
+    // One word past the stack scratch: this modulus takes the heap
+    // block, and a full-width exponent takes the widest window.
+    Rng rng(0x2112);
+    const std::size_t bits = 64 * (MontgomeryContext::kInlineWords + 1);
+    const BigUint m = exactOddModulus(rng, bits);
+    const MontgomeryContext ctx(m);
+    const BigUint base = BigUint::randomWithBits(bits, rng);
+    const BigUint exp = BigUint::randomWithBits(bits, rng);
+    EXPECT_EQ(ctx.modExp(base, exp), base.modExpLegacy(exp, m));
+    const BigUint e = BigUint::fromU64(65537);
+    EXPECT_EQ(ctx.modExp(base, e), base.modExpLegacy(e, m));
+}
+
+TEST(MontgomeryEdgeTest, PrimeSearchMatchesLegacyEngine)
+{
+    // The prime test draws its bases exactly as the legacy one does,
+    // so both engines walk to the same primes.
+    for (const std::size_t bits : {64u, 96u, 256u}) {
+        Rng fastRng(bits);
+        const BigUint fast = BigUint::generatePrime(bits, fastRng);
+        setModExpEngine(ModExpEngine::Legacy);
+        Rng slowRng(bits);
+        const BigUint slow = BigUint::generatePrime(bits, slowRng);
+        setModExpEngine(ModExpEngine::Montgomery);
+        EXPECT_EQ(fast, slow) << bits << "-bit prime";
+        EXPECT_EQ(fastRng.next(), slowRng.next()) << bits << "-bit prime";
+    }
+}
+
 // --- RSA context equivalence ------------------------------------------
 
 const RsaKeyPair &
