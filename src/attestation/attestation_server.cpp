@@ -1,7 +1,6 @@
 #include "attestation/attestation_server.h"
 
 #include "common/codec.h"
-#include "common/wire.h"
 #include "common/logging.h"
 #include "crypto/sha256.h"
 #include "sim/worker_pool.h"
@@ -782,17 +781,11 @@ AttestationServer::journalReport(std::uint64_t requestId,
 {
     if (!cfg.durable || replaying)
         return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putVarint(1, requestId);
-        w.putLen(2, encoded);
-        store.append(journalTag(JournalType::ReportRemember), w.take());
-        return;
-    }
     ByteWriter w;
     w.putU64(requestId);
     w.putBytes(encoded);
-    store.append(journalTag(JournalType::ReportRemember), w.take());
+    store.append(static_cast<std::uint16_t>(JournalType::ReportRemember),
+                 w.take());
 }
 
 void
@@ -801,17 +794,11 @@ AttestationServer::journalCert(const Bytes &digest,
 {
     if (!cfg.durable || replaying)
         return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putLen(1, digest);
-        w.putLen(2, avk.encode());
-        store.append(journalTag(JournalType::CertInsert), w.take());
-        return;
-    }
     ByteWriter w;
     w.putBytes(digest);
     w.putBytes(avk.encode());
-    store.append(journalTag(JournalType::CertInsert), w.take());
+    store.append(static_cast<std::uint16_t>(JournalType::CertInsert),
+                 w.take());
 }
 
 void
@@ -883,37 +870,9 @@ AttestationServer::applySnapshot(const Bytes &snapshot)
 void
 AttestationServer::applyJournalRecord(const sim::JournalRecord &rec)
 {
-    // The type word carries the payload's own format, so replay is
-    // independent of this node's current cfg.wire setting.
-    const bool tagged = (rec.type & proto::kTaggedJournalBit) != 0;
-    const auto type = static_cast<JournalType>(
-        rec.type & ~proto::kTaggedJournalBit);
     ByteReader r(rec.payload);
-    switch (type) {
+    switch (static_cast<JournalType>(rec.type)) {
       case JournalType::ReportRemember: {
-        if (tagged) {
-            wire::WireReader tr(rec.payload);
-            std::uint64_t requestId = 0;
-            bool haveId = false;
-            Bytes encoded;
-            while (!tr.atEnd()) {
-                auto f = tr.next();
-                if (!f)
-                    return;
-                const wire::WireField &fld = f.value();
-                if (fld.number == 1 &&
-                    fld.type == wire::WireType::Varint) {
-                    requestId = fld.varint;
-                    haveId = true;
-                } else if (fld.number == 2 &&
-                           fld.type == wire::WireType::Len) {
-                    encoded = fld.bytes;
-                }
-            }
-            if (haveId)
-                rememberReport(requestId, std::move(encoded));
-            break;
-        }
         auto requestId = r.getU64();
         auto encoded = r.getBytes();
         if (requestId && encoded)
@@ -921,32 +880,13 @@ AttestationServer::applyJournalRecord(const sim::JournalRecord &rec)
         break;
       }
       case JournalType::CertInsert: {
-        Bytes digest;
-        Bytes avkBytes;
-        if (tagged) {
-            wire::WireReader tr(rec.payload);
-            while (!tr.atEnd()) {
-                auto f = tr.next();
-                if (!f)
-                    return;
-                const wire::WireField &fld = f.value();
-                if (fld.number == 1 && fld.type == wire::WireType::Len)
-                    digest = fld.bytes;
-                else if (fld.number == 2 &&
-                         fld.type == wire::WireType::Len)
-                    avkBytes = fld.bytes;
-            }
-        } else {
-            auto d = r.getBytes();
-            auto a = r.getBytes();
-            if (!d || !a)
-                break;
-            digest = d.take();
-            avkBytes = a.take();
-        }
-        auto avk = crypto::RsaPublicKey::decode(avkBytes);
+        auto digest = r.getBytes();
+        auto avkBytes = r.getBytes();
+        if (!digest || !avkBytes)
+            break;
+        auto avk = crypto::RsaPublicKey::decode(avkBytes.value());
         if (avk)
-            certCache.insert(std::move(digest), avk.take());
+            certCache.insert(digest.take(), avk.take());
         break;
       }
     }

@@ -382,19 +382,6 @@ class AttestationServer
     void journalReport(std::uint64_t requestId, const Bytes &encoded);
     void journalCert(const Bytes &digest, const crypto::RsaPublicKey &avk);
 
-    /** True when this node writes tagged journal payloads. */
-    bool taggedJournal() const
-    {
-        return cfg.wire.format == proto::WireFormat::Tagged;
-    }
-
-    /** StableStore type word for a record in this node's format. */
-    std::uint16_t journalTag(JournalType t) const
-    {
-        return static_cast<std::uint16_t>(t) |
-               (taggedJournal() ? proto::kTaggedJournalBit
-                                : std::uint16_t{0});
-    }
     /** fsync + checkpoint policy; end of every mutating event. */
     void commitJournal();
     Bytes snapshotState() const;

@@ -1,7 +1,6 @@
 #include "attestation/privacy_ca.h"
 
 #include "common/codec.h"
-#include "common/wire.h"
 #include "common/logging.h"
 #include "sim/worker_pool.h"
 #include "tpm/certificate.h"
@@ -201,7 +200,7 @@ PrivacyCa::flushBatch()
         endpoint.sendSecure(item.p.from,
                             pack(MessageKind::CertResponse, item.resp));
     }
-    store.appendMany(journalTag(JournalType::CertIssued),
+    store.appendMany(static_cast<std::uint16_t>(JournalType::CertIssued),
                      std::move(issuedJournal));
     commitJournal();
 }
@@ -216,17 +215,6 @@ PrivacyCa::encodeIssued(const CertKey &key, const Bytes &encoded) const
     // still carry the current counter). Serials for a batch are all
     // assigned before any response encodes, so deferring the batch's
     // journal records to one appendMany writes identical bytes.
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        if (serial != 0)
-            w.putVarint(1, serial);
-        if (rejections != 0)
-            w.putVarint(2, rejections);
-        w.putString(3, key.first);
-        w.putString(4, key.second);
-        w.putLen(5, encoded);
-        return w.take();
-    }
     ByteWriter w;
     w.putU64(serial);
     w.putU64(rejections);
@@ -295,66 +283,20 @@ PrivacyCa::applySnapshot(const Bytes &snapshot)
 void
 PrivacyCa::applyJournalRecord(const sim::JournalRecord &rec)
 {
-    const bool tagged = (rec.type & proto::kTaggedJournalBit) != 0;
-    if (static_cast<JournalType>(rec.type & ~proto::kTaggedJournalBit) !=
-        JournalType::CertIssued)
+    if (static_cast<JournalType>(rec.type) != JournalType::CertIssued)
         return;
-    std::uint64_t serialNo = 0;
-    std::uint64_t rejectionCount = 0;
-    std::string fromId;
-    std::string label;
-    Bytes encoded;
-    if (tagged) {
-        wire::WireReader tr(rec.payload);
-        while (!tr.atEnd()) {
-            auto f = tr.next();
-            if (!f)
-                return;
-            const wire::WireField &fld = f.value();
-            switch (fld.number) {
-              case 1:
-                if (fld.type == wire::WireType::Varint)
-                    serialNo = fld.varint;
-                break;
-              case 2:
-                if (fld.type == wire::WireType::Varint)
-                    rejectionCount = fld.varint;
-                break;
-              case 3:
-                if (fld.type == wire::WireType::Len)
-                    fromId = fld.asString();
-                break;
-              case 4:
-                if (fld.type == wire::WireType::Len)
-                    label = fld.asString();
-                break;
-              case 5:
-                if (fld.type == wire::WireType::Len)
-                    encoded = fld.bytes;
-                break;
-              default:
-                break; // Unknown field: skip.
-            }
-        }
-    } else {
-        ByteReader r(rec.payload);
-        auto s = r.getU64();
-        auto rej = r.getU64();
-        auto from = r.getString();
-        auto lab = r.getString();
-        auto enc = r.getBytes();
-        if (!s || !rej || !from || !lab || !enc)
-            return;
-        serialNo = s.value();
-        rejectionCount = rej.value();
-        fromId = from.take();
-        label = lab.take();
-        encoded = enc.take();
-    }
-    serial = serialNo;
-    rejections = rejectionCount;
-    const CertKey key{std::move(fromId), std::move(label)};
-    if (issuedCache.emplace(key, std::move(encoded)).second) {
+    ByteReader r(rec.payload);
+    auto serialNo = r.getU64();
+    auto rejectionCount = r.getU64();
+    auto from = r.getString();
+    auto label = r.getString();
+    auto encoded = r.getBytes();
+    if (!serialNo || !rejectionCount || !from || !label || !encoded)
+        return;
+    serial = serialNo.value();
+    rejections = rejectionCount.value();
+    const CertKey key{from.take(), label.take()};
+    if (issuedCache.emplace(key, encoded.take()).second) {
         issuedOrder.push_back(key);
         while (issuedOrder.size() > issuedCacheCapacity) {
             issuedCache.erase(issuedOrder.front());

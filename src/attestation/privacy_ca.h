@@ -150,12 +150,6 @@ class PrivacyCa
         return proto::packFor(wire_, kind, msg);
     }
 
-    /** True when this node writes tagged journal payloads. */
-    bool taggedJournal() const
-    {
-        return wire_.format == proto::WireFormat::Tagged;
-    }
-
     proto::WireContext wire_;
     /** Format of the frame currently being dispatched. */
     proto::WireFormat rxFormat_ = proto::WireFormat::Legacy;
@@ -194,14 +188,6 @@ class PrivacyCa
     {
         CertIssued = 1, //!< serial counter + requester + label + resp.
     };
-
-    /** StableStore type word for a record in this node's format. */
-    std::uint16_t journalTag(JournalType t) const
-    {
-        return static_cast<std::uint16_t>(t) |
-               (taggedJournal() ? proto::kTaggedJournalBit
-                                : std::uint16_t{0});
-    }
 
     Bytes encodeIssued(const CertKey &key, const Bytes &encoded) const;
     /** fsync + checkpoint policy; end of every mutating event. */

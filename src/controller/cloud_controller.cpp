@@ -4,7 +4,6 @@
 
 #include "common/codec.h"
 #include "common/logging.h"
-#include "common/wire.h"
 #include "controller/hash_ring.h"
 #include "sim/worker_pool.h"
 
@@ -609,7 +608,8 @@ CloudController::sendAttestFailure(const net::NodeId &customer,
     failure.outcome = outcome;
     failure.reason = reason;
     Bytes packed = pack(MessageKind::AttestFailure, failure);
-    rememberRelay(CustomerKey{customer, requestId}, Bytes(packed));
+    rememberRelay(CustomerKey{customer, requestId},
+                  legacyFrame(MessageKind::AttestFailure, failure, packed));
     sendExternal(customer, std::move(packed));
 }
 
@@ -1052,7 +1052,8 @@ CloudController::flushRelayBatch()
         Bytes packed = pack(MessageKind::ReportToCustomer, relay.out);
         const CustomerKey key{relay.customer, relay.out.requestId};
         if (relay.cacheable)
-            rememberRelay(key, Bytes(packed));
+            rememberRelay(key, legacyFrame(MessageKind::ReportToCustomer,
+                                           relay.out, packed));
         else
             customerInFlight.erase(key);
         sendExternal(relay.customer, std::move(packed));
@@ -1512,322 +1513,6 @@ CloudController::decodeResponseRecord(const Bytes &data,
     return true;
 }
 
-// --- Durability: tagged-field serialization ---------------------------
-//
-// Field numbers are frozen (DESIGN.md §17). Encoders omit members
-// equal to their default-constructed value; decoders fill a
-// default-constructed struct and skip unknown fields.
-
-namespace
-{
-
-Bytes
-packedProps(const std::vector<proto::SecurityProperty> &props)
-{
-    Bytes out;
-    for (proto::SecurityProperty p : props)
-        wire::appendVarint(out, static_cast<std::uint64_t>(p));
-    return out;
-}
-
-bool
-unpackProps(const Bytes &packed,
-            std::vector<proto::SecurityProperty> &out)
-{
-    wire::WireReader r(packed);
-    out.clear();
-    while (!r.atEnd()) {
-        auto v = r.nextVarint();
-        if (!v || out.size() >= 64)
-            return false;
-        out.push_back(static_cast<proto::SecurityProperty>(v.value()));
-    }
-    return true;
-}
-
-} // namespace
-
-Bytes
-CloudController::encodeAttestContextTagged(const AttestContext &ctx) const
-{
-    wire::WireWriter w;
-    if (ctx.kind != AttestKind::CustomerRequest)
-        w.putVarint(1, static_cast<std::uint64_t>(ctx.kind));
-    if (!ctx.vid.empty())
-        w.putString(2, ctx.vid);
-    if (!ctx.customer.empty())
-        w.putString(3, ctx.customer);
-    if (ctx.customerRequestId != 0)
-        w.putVarint(4, ctx.customerRequestId);
-    if (!ctx.nonce1.empty())
-        w.putLen(5, ctx.nonce1);
-    if (!ctx.nonce2.empty())
-        w.putLen(6, ctx.nonce2);
-    if (!ctx.properties.empty())
-        w.putLen(7, packedProps(ctx.properties));
-    if (ctx.mode != proto::AttestMode::RuntimeOneTime)
-        w.putVarint(8, static_cast<std::uint64_t>(ctx.mode));
-    if (ctx.period != 0)
-        w.putSigned(9, ctx.period);
-    if (ctx.forwardedAt != 0)
-        w.putSigned(10, ctx.forwardedAt);
-    if (ctx.periodic)
-        w.putBool(11, true);
-    if (!ctx.serverId.empty())
-        w.putString(12, ctx.serverId);
-    if (!ctx.attestorId.empty())
-        w.putString(13, ctx.attestorId);
-    if (ctx.retries != 0)
-        w.putSigned(14, ctx.retries);
-    if (ctx.failovers != 0)
-        w.putSigned(15, ctx.failovers);
-    if (ctx.acked)
-        w.putBool(16, true);
-    if (ctx.recovered)
-        w.putBool(17, true);
-    return w.take();
-}
-
-bool
-CloudController::decodeAttestContextTagged(const Bytes &data,
-                                           AttestContext &out) const
-{
-    wire::WireReader r(data);
-    out = AttestContext{};
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return false;
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Varint)
-                out.kind = static_cast<AttestKind>(fld.varint);
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Len)
-                out.vid = fld.asString();
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Len)
-                out.customer = fld.asString();
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Varint)
-                out.customerRequestId = fld.varint;
-            break;
-          case 5:
-            if (fld.type == wire::WireType::Len)
-                out.nonce1 = fld.bytes;
-            break;
-          case 6:
-            if (fld.type == wire::WireType::Len)
-                out.nonce2 = fld.bytes;
-            break;
-          case 7:
-            if (fld.type == wire::WireType::Len &&
-                !unpackProps(fld.bytes, out.properties))
-                return false;
-            break;
-          case 8:
-            if (fld.type == wire::WireType::Varint)
-                out.mode = static_cast<proto::AttestMode>(fld.varint);
-            break;
-          case 9:
-            if (fld.type == wire::WireType::Varint)
-                out.period = fld.asSigned();
-            break;
-          case 10:
-            if (fld.type == wire::WireType::Varint)
-                out.forwardedAt = fld.asSigned();
-            break;
-          case 11:
-            if (fld.type == wire::WireType::Varint)
-                out.periodic = fld.asBool();
-            break;
-          case 12:
-            if (fld.type == wire::WireType::Len)
-                out.serverId = fld.asString();
-            break;
-          case 13:
-            if (fld.type == wire::WireType::Len)
-                out.attestorId = fld.asString();
-            break;
-          case 14:
-            if (fld.type == wire::WireType::Varint)
-                out.retries = static_cast<int>(fld.asSigned());
-            break;
-          case 15:
-            if (fld.type == wire::WireType::Varint)
-                out.failovers = static_cast<int>(fld.asSigned());
-            break;
-          case 16:
-            if (fld.type == wire::WireType::Varint)
-                out.acked = fld.asBool();
-            break;
-          case 17:
-            if (fld.type == wire::WireType::Varint)
-                out.recovered = fld.asBool();
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    out.retryTimer = 0;
-    return true;
-}
-
-Bytes
-CloudController::encodePendingLaunchTagged(const std::string &vid,
-                                           const PendingLaunch &launch)
-    const
-{
-    wire::WireWriter w;
-    if (!vid.empty())
-        w.putString(1, vid);
-    if (launch.customerRequestId != 0)
-        w.putVarint(2, launch.customerRequestId);
-    if (!launch.customer.empty())
-        w.putString(3, launch.customer);
-    for (const std::string &s : launch.excludedServers)
-        w.putString(4, s);
-    return w.take();
-}
-
-bool
-CloudController::decodePendingLaunchTagged(const Bytes &data,
-                                           std::string &vid,
-                                           PendingLaunch &out) const
-{
-    wire::WireReader r(data);
-    vid.clear();
-    out = PendingLaunch{};
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return false;
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Len)
-                vid = fld.asString();
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Varint)
-                out.customerRequestId = fld.varint;
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Len)
-                out.customer = fld.asString();
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Len) {
-                if (out.excludedServers.size() >= 4096)
-                    return false;
-                out.excludedServers.insert(fld.asString());
-            }
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    return true;
-}
-
-Bytes
-CloudController::encodeResponseRecordTagged(const ResponseRecord &rec)
-    const
-{
-    wire::WireWriter w;
-    if (!rec.vid.empty())
-        w.putString(1, rec.vid);
-    if (rec.action != ResponsePolicy::None)
-        w.putVarint(2, static_cast<std::uint64_t>(rec.action));
-    if (rec.attestStart != 0)
-        w.putSigned(3, rec.attestStart);
-    if (rec.reportAt != 0)
-        w.putSigned(4, rec.reportAt);
-    if (rec.completedAt != 0)
-        w.putSigned(5, rec.completedAt);
-    if (rec.completed)
-        w.putBool(6, true);
-    if (rec.succeeded)
-        w.putBool(7, true);
-    if (!rec.detail.empty())
-        w.putString(8, rec.detail);
-    if (!rec.targetServer.empty())
-        w.putString(9, rec.targetServer);
-    if (!rec.triggerProperties.empty())
-        w.putLen(10, packedProps(rec.triggerProperties));
-    if (rec.resumedAfterRecheck)
-        w.putBool(11, true);
-    return w.take();
-}
-
-bool
-CloudController::decodeResponseRecordTagged(const Bytes &data,
-                                            ResponseRecord &out) const
-{
-    wire::WireReader r(data);
-    out = ResponseRecord{};
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return false;
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Len)
-                out.vid = fld.asString();
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Varint)
-                out.action = static_cast<ResponsePolicy>(fld.varint);
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Varint)
-                out.attestStart = fld.asSigned();
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Varint)
-                out.reportAt = fld.asSigned();
-            break;
-          case 5:
-            if (fld.type == wire::WireType::Varint)
-                out.completedAt = fld.asSigned();
-            break;
-          case 6:
-            if (fld.type == wire::WireType::Varint)
-                out.completed = fld.asBool();
-            break;
-          case 7:
-            if (fld.type == wire::WireType::Varint)
-                out.succeeded = fld.asBool();
-            break;
-          case 8:
-            if (fld.type == wire::WireType::Len)
-                out.detail = fld.asString();
-            break;
-          case 9:
-            if (fld.type == wire::WireType::Len)
-                out.targetServer = fld.asString();
-            break;
-          case 10:
-            if (fld.type == wire::WireType::Len &&
-                !unpackProps(fld.bytes, out.triggerProperties))
-                return false;
-            break;
-          case 11:
-            if (fld.type == wire::WireType::Varint)
-                out.resumedAfterRecheck = fld.asBool();
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    return true;
-}
-
 // --- Durability: WAL helpers ------------------------------------------
 
 void
@@ -1835,17 +1520,10 @@ CloudController::journalMeta()
 {
     if (!cfg.durable || replaying)
         return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putVarint(1, nextVmNumber);
-        w.putVarint(2, nextAttestId);
-        store.append(journalTag(JournalType::Meta), w.take());
-        return;
-    }
     ByteWriter w;
     w.putU64(nextVmNumber);
     w.putU64(nextAttestId);
-    store.append(journalTag(JournalType::Meta), w.take());
+    journalAppend(JournalType::Meta, w.take());
 }
 
 void
@@ -1855,17 +1533,11 @@ CloudController::journalVm(const std::string &vid)
         return;
     const VmRecord *rec = db.vm(vid);
     if (rec) {
-        store.append(journalTag(JournalType::VmUpsert),
-                     taggedJournal() ? encodeVmRecordTagged(*rec)
-                                     : encodeVmRecord(*rec));
-    } else if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putString(1, vid);
-        store.append(journalTag(JournalType::VmRemove), w.take());
+        journalAppend(JournalType::VmUpsert, encodeVmRecord(*rec));
     } else {
         ByteWriter w;
         w.putString(vid);
-        store.append(journalTag(JournalType::VmRemove), w.take());
+        journalAppend(JournalType::VmRemove, w.take());
     }
 }
 
@@ -1877,9 +1549,7 @@ CloudController::journalServer(const std::string &serverId)
     const ServerRecord *rec = db.server(serverId);
     if (!rec)
         return;
-    store.append(journalTag(JournalType::ServerUpsert),
-                 taggedJournal() ? encodeServerRecordTagged(*rec)
-                                 : encodeServerRecord(*rec));
+    journalAppend(JournalType::ServerUpsert, encodeServerRecord(*rec));
 }
 
 void
@@ -1890,17 +1560,10 @@ CloudController::journalPolicy(const std::string &vid)
     const auto it = policies.find(vid);
     if (it == policies.end())
         return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putString(1, vid);
-        w.putVarint(2, static_cast<std::uint64_t>(it->second));
-        store.append(journalTag(JournalType::PolicySet), w.take());
-        return;
-    }
     ByteWriter w;
     w.putString(vid);
     w.putU8(static_cast<std::uint8_t>(it->second));
-    store.append(journalTag(JournalType::PolicySet), w.take());
+    journalAppend(JournalType::PolicySet, w.take());
 }
 
 void
@@ -1910,18 +1573,12 @@ CloudController::journalLaunch(const std::string &vid)
         return;
     const auto it = launches.find(vid);
     if (it != launches.end()) {
-        store.append(journalTag(JournalType::LaunchUpsert),
-                     taggedJournal()
-                         ? encodePendingLaunchTagged(vid, it->second)
-                         : encodePendingLaunch(vid, it->second));
-    } else if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putString(1, vid);
-        store.append(journalTag(JournalType::LaunchRemove), w.take());
+        journalAppend(JournalType::LaunchUpsert,
+                      encodePendingLaunch(vid, it->second));
     } else {
         ByteWriter w;
         w.putString(vid);
-        store.append(journalTag(JournalType::LaunchRemove), w.take());
+        journalAppend(JournalType::LaunchRemove, w.take());
     }
 }
 
@@ -1931,24 +1588,13 @@ CloudController::journalAttest(std::uint64_t attestId)
     if (!cfg.durable || replaying)
         return;
     const auto it = attests.find(attestId);
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putVarint(1, attestId);
-        if (it != attests.end()) {
-            w.putLen(2, encodeAttestContextTagged(it->second));
-            store.append(journalTag(JournalType::AttestUpsert), w.take());
-        } else {
-            store.append(journalTag(JournalType::AttestRemove), w.take());
-        }
-        return;
-    }
     ByteWriter w;
     w.putU64(attestId);
     if (it != attests.end()) {
         w.putBytes(encodeAttestContext(it->second));
-        store.append(journalTag(JournalType::AttestUpsert), w.take());
+        journalAppend(JournalType::AttestUpsert, w.take());
     } else {
-        store.append(journalTag(JournalType::AttestRemove), w.take());
+        journalAppend(JournalType::AttestRemove, w.take());
     }
 }
 
@@ -1959,17 +1605,10 @@ CloudController::journalResponse(std::size_t index)
         return;
     if (index >= responses.size())
         return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putVarint(1, index);
-        w.putLen(2, encodeResponseRecordTagged(responses[index]));
-        store.append(journalTag(JournalType::ResponseUpsert), w.take());
-        return;
-    }
     ByteWriter w;
     w.putU64(index);
     w.putBytes(encodeResponseRecord(responses[index]));
-    store.append(journalTag(JournalType::ResponseUpsert), w.take());
+    journalAppend(JournalType::ResponseUpsert, w.take());
 }
 
 void
@@ -1980,21 +1619,11 @@ CloudController::journalAsHealth(const std::string &attestorId)
     const auto it = asHealth.find(attestorId);
     const int strikes = it == asHealth.end() ? 0 : it->second.strikes;
     const bool suspect = it != asHealth.end() && it->second.suspect;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putString(1, attestorId);
-        if (strikes != 0)
-            w.putSigned(2, strikes);
-        if (suspect)
-            w.putBool(3, true);
-        store.append(journalTag(JournalType::AsHealthSet), w.take());
-        return;
-    }
     ByteWriter w;
     w.putString(attestorId);
     w.putI64(strikes);
     w.putU8(suspect ? 1 : 0);
-    store.append(journalTag(JournalType::AsHealthSet), w.take());
+    journalAppend(JournalType::AsHealthSet, w.take());
 }
 
 void
@@ -2002,19 +1631,11 @@ CloudController::journalRelay(const CustomerKey &key, const Bytes &packed)
 {
     if (!cfg.durable || replaying)
         return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putString(1, key.first);
-        w.putVarint(2, key.second);
-        w.putLen(3, packed);
-        store.append(journalTag(JournalType::RelayRemember), w.take());
-        return;
-    }
     ByteWriter w;
     w.putString(key.first);
     w.putU64(key.second);
     w.putBytes(packed);
-    store.append(journalTag(JournalType::RelayRemember), w.take());
+    journalAppend(JournalType::RelayRemember, w.take());
 }
 
 void
@@ -2217,71 +1838,12 @@ CloudController::applySnapshot(const Bytes &snapshot)
     }
 }
 
-namespace
-{
-
-/**
- * Generic parse of a small tagged journal payload: one optional string
- * (LEN) and up to three varints, keyed by field number. Returns false
- * on malformed bytes; absent fields keep their defaults.
- */
-struct TaggedScalars
-{
-    std::string str;        //!< First LEN field (the id / vid / name).
-    Bytes blob;             //!< Second LEN field (an embedded payload).
-    std::uint64_t v[4] = {0, 0, 0, 0}; //!< Varints by field number - 1.
-    bool seen[4] = {false, false, false, false};
-};
-
-bool
-parseTaggedScalars(const Bytes &payload, std::uint32_t strField,
-                   std::uint32_t blobField, TaggedScalars &out)
-{
-    wire::WireReader r(payload);
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return false;
-        const wire::WireField &fld = f.value();
-        if (fld.number == strField &&
-            fld.type == wire::WireType::Len) {
-            out.str = fld.asString();
-        } else if (fld.number == blobField &&
-                   fld.type == wire::WireType::Len) {
-            out.blob = fld.bytes;
-        } else if (fld.number >= 1 && fld.number <= 4 &&
-                   fld.type == wire::WireType::Varint) {
-            out.v[fld.number - 1] = fld.varint;
-            out.seen[fld.number - 1] = true;
-        }
-        // Anything else: unknown field, skip.
-    }
-    return true;
-}
-
-} // namespace
-
 void
 CloudController::applyJournalRecord(const sim::JournalRecord &rec)
 {
-    // The type word carries the payload's own format (set by whichever
-    // node wrote the record — this one pre-upgrade, or the leader that
-    // streamed it), so replay is independent of cfg.wire.
-    const bool tagged = (rec.type & proto::kTaggedJournalBit) != 0;
-    const auto type = static_cast<JournalType>(
-        rec.type & ~proto::kTaggedJournalBit);
     ByteReader r(rec.payload);
-    switch (type) {
+    switch (static_cast<JournalType>(rec.type)) {
       case JournalType::Meta: {
-        if (tagged) {
-            TaggedScalars s;
-            if (parseTaggedScalars(rec.payload, 0, 0, s) && s.seen[0] &&
-                s.seen[1]) {
-                nextVmNumber = s.v[0];
-                nextAttestId = s.v[1];
-            }
-            break;
-        }
         auto vmNumber = r.getU64();
         auto attestNumber = r.getU64();
         if (vmNumber && attestNumber) {
@@ -2291,38 +1853,24 @@ CloudController::applyJournalRecord(const sim::JournalRecord &rec)
         break;
       }
       case JournalType::VmUpsert: {
-        auto decoded = tagged ? decodeVmRecordTagged(rec.payload)
-                              : decodeVmRecord(rec.payload);
+        auto decoded = decodeVmRecord(rec.payload);
         if (decoded)
             db.addVm(decoded.take());
         break;
       }
       case JournalType::VmRemove: {
-        if (tagged) {
-            TaggedScalars s;
-            if (parseTaggedScalars(rec.payload, 1, 0, s))
-                db.removeVm(s.str);
-            break;
-        }
         auto vid = r.getString();
         if (vid)
             db.removeVm(vid.value());
         break;
       }
       case JournalType::ServerUpsert: {
-        auto decoded = tagged ? decodeServerRecordTagged(rec.payload)
-                              : decodeServerRecord(rec.payload);
+        auto decoded = decodeServerRecord(rec.payload);
         if (decoded)
             db.addServer(decoded.take());
         break;
       }
       case JournalType::PolicySet: {
-        if (tagged) {
-            TaggedScalars s;
-            if (parseTaggedScalars(rec.payload, 1, 0, s))
-                policies[s.str] = static_cast<ResponsePolicy>(s.v[1]);
-            break;
-        }
         auto vid = r.getString();
         auto policy = r.getU8();
         if (vid && policy)
@@ -2333,35 +1881,17 @@ CloudController::applyJournalRecord(const sim::JournalRecord &rec)
       case JournalType::LaunchUpsert: {
         std::string vid;
         PendingLaunch launch;
-        const bool ok =
-            tagged ? decodePendingLaunchTagged(rec.payload, vid, launch)
-                   : decodePendingLaunch(rec.payload, vid, launch);
-        if (ok)
+        if (decodePendingLaunch(rec.payload, vid, launch))
             launches[vid] = std::move(launch);
         break;
       }
       case JournalType::LaunchRemove: {
-        if (tagged) {
-            TaggedScalars s;
-            if (parseTaggedScalars(rec.payload, 1, 0, s))
-                launches.erase(s.str);
-            break;
-        }
         auto vid = r.getString();
         if (vid)
             launches.erase(vid.value());
         break;
       }
       case JournalType::AttestUpsert: {
-        if (tagged) {
-            TaggedScalars s;
-            if (!parseTaggedScalars(rec.payload, 0, 2, s) || !s.seen[0])
-                break;
-            AttestContext ctx;
-            if (decodeAttestContextTagged(s.blob, ctx))
-                attests[s.v[0]] = std::move(ctx);
-            break;
-        }
         auto attestId = r.getU64();
         auto blob = r.getBytes();
         if (!attestId || !blob)
@@ -2372,50 +1902,23 @@ CloudController::applyJournalRecord(const sim::JournalRecord &rec)
         break;
       }
       case JournalType::AttestRemove: {
-        if (tagged) {
-            TaggedScalars s;
-            if (parseTaggedScalars(rec.payload, 0, 0, s) && s.seen[0])
-                attests.erase(s.v[0]);
-            break;
-        }
         auto attestId = r.getU64();
         if (attestId)
             attests.erase(attestId.value());
         break;
       }
       case JournalType::ResponseUpsert: {
-        std::uint64_t index = 0;
+        auto index = r.getU64();
+        auto blob = r.getBytes();
         ResponseRecord decoded;
-        if (tagged) {
-            TaggedScalars s;
-            if (!parseTaggedScalars(rec.payload, 0, 2, s) || !s.seen[0])
-                break;
-            if (!decodeResponseRecordTagged(s.blob, decoded))
-                break;
-            index = s.v[0];
-        } else {
-            auto idx = r.getU64();
-            auto blob = r.getBytes();
-            if (!idx || !blob)
-                break;
-            if (!decodeResponseRecord(blob.value(), decoded))
-                break;
-            index = idx.value();
-        }
-        if (index >= responses.size())
-            responses.resize(index + 1);
-        responses[index] = std::move(decoded);
+        if (!index || !blob || !decodeResponseRecord(blob.value(), decoded))
+            break;
+        if (index.value() >= responses.size())
+            responses.resize(index.value() + 1);
+        responses[index.value()] = std::move(decoded);
         break;
       }
       case JournalType::AsHealthSet: {
-        if (tagged) {
-            TaggedScalars s;
-            if (parseTaggedScalars(rec.payload, 1, 0, s))
-                asHealth[s.str] = AsHealth{
-                    static_cast<int>(wire::zigzagDecode(s.v[1])),
-                    s.v[2] != 0};
-            break;
-        }
         auto id = r.getString();
         auto strikes = r.getI64();
         auto suspect = r.getU8();
@@ -2426,28 +1929,13 @@ CloudController::applyJournalRecord(const sim::JournalRecord &rec)
         break;
       }
       case JournalType::RelayRemember: {
-        std::string customer;
-        std::uint64_t requestId = 0;
-        Bytes packed;
-        if (tagged) {
-            TaggedScalars s;
-            if (!parseTaggedScalars(rec.payload, 1, 3, s))
-                break;
-            customer = std::move(s.str);
-            requestId = s.v[1];
-            packed = std::move(s.blob);
-        } else {
-            auto cust = r.getString();
-            auto reqId = r.getU64();
-            auto blob = r.getBytes();
-            if (!cust || !reqId || !blob)
-                break;
-            customer = cust.take();
-            requestId = reqId.value();
-            packed = blob.take();
-        }
-        const CustomerKey key{std::move(customer), requestId};
-        if (relayCache.emplace(key, std::move(packed)).second) {
+        auto customer = r.getString();
+        auto requestId = r.getU64();
+        auto packed = r.getBytes();
+        if (!customer || !requestId || !packed)
+            break;
+        const CustomerKey key{customer.take(), requestId.value()};
+        if (relayCache.emplace(key, packed.take()).second) {
             relayOrder.push_back(key);
             while (relayOrder.size() > cfg.relayCacheCapacity) {
                 relayCache.erase(relayOrder.front());

@@ -366,6 +366,18 @@ class CloudController
         return proto::packFor(cfg.wire, kind, msg);
     }
 
+    /** The legacy frame of `msg`, copying `packed` (its pack() output)
+     * when this node speaks legacy. The relay cache, and with it the
+     * journal and snapshots, holds legacy frames whatever cfg.wire. */
+    template <typename M>
+    Bytes legacyFrame(proto::MessageKind kind, const M &msg,
+                      const Bytes &packed) const
+    {
+        if (cfg.wire.format == proto::WireFormat::Legacy)
+            return packed;
+        return proto::packMessage(kind, msg.encode());
+    }
+
     /** Format of the frame currently being dispatched. handleMessage
      * sets it before the synchronous handler call, so every decode
      * inside the handler reads the sender's self-described format. */
@@ -597,7 +609,8 @@ class CloudController
     std::deque<CustomerKey> relayOrder; //!< FIFO eviction order; bounded
                                         //!< by cfg.relayCacheCapacity.
 
-    /** Cache a packed customer reply and clear its in-flight mark. */
+    /** Cache a customer reply's legacy frame and clear its in-flight
+     * mark. */
     void rememberRelay(const CustomerKey &key, Bytes packed);
 
     // --- Durability (write-ahead journal) ------------------------------
@@ -632,6 +645,11 @@ class CloudController
     void journalResponse(std::size_t index);
     void journalAsHealth(const std::string &attestorId);
     void journalRelay(const CustomerKey &key, const Bytes &packed);
+    /** Append one record whose type word is the JournalType value. */
+    void journalAppend(JournalType type, Bytes payload)
+    {
+        store.append(static_cast<std::uint16_t>(type), std::move(payload));
+    }
 
     /** Fsync barrier + checkpoint policy; called at the end of every
      * event-handler body so no externally visible state is lost. */
@@ -657,33 +675,6 @@ class CloudController
                              PendingLaunch &out) const;
     Bytes encodeResponseRecord(const ResponseRecord &rec) const;
     bool decodeResponseRecord(const Bytes &data, ResponseRecord &out) const;
-
-    // Tagged-field variants (journal records written by a Tagged-format
-    // node; the record's type word carries proto::kTaggedJournalBit).
-    Bytes encodeAttestContextTagged(const AttestContext &ctx) const;
-    bool decodeAttestContextTagged(const Bytes &data,
-                                   AttestContext &out) const;
-    Bytes encodePendingLaunchTagged(const std::string &vid,
-                                    const PendingLaunch &launch) const;
-    bool decodePendingLaunchTagged(const Bytes &data, std::string &vid,
-                                   PendingLaunch &out) const;
-    Bytes encodeResponseRecordTagged(const ResponseRecord &rec) const;
-    bool decodeResponseRecordTagged(const Bytes &data,
-                                    ResponseRecord &out) const;
-
-    /** True when this node writes tagged journal payloads. */
-    bool taggedJournal() const
-    {
-        return cfg.wire.format == proto::WireFormat::Tagged;
-    }
-
-    /** StableStore type word for a record in this node's format. */
-    std::uint16_t journalTag(JournalType t) const
-    {
-        return static_cast<std::uint16_t>(t) |
-               (taggedJournal() ? proto::kTaggedJournalBit
-                                : std::uint16_t{0});
-    }
 
     sim::StableStore store;
     sim::CheckpointPolicy ckptPolicy;

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/codec.h"
-#include "common/wire.h"
 
 namespace monatt::controller
 {
@@ -307,295 +306,6 @@ decodeServerRecord(const Bytes &data)
     rec.allocatedRamMb = allocatedRamMb.value();
     rec.allocatedDiskGb = allocatedDiskGb.value();
     return Result<ServerRecord>::ok(std::move(rec));
-}
-
-// --- Tagged-field journal codecs ---------------------------------------
-//
-// Field numbers are frozen (DESIGN.md §17). Encoders omit
-// default-constructed member values; decoders start from a
-// default-constructed record and skip unknown fields.
-
-namespace
-{
-
-template <typename Container>
-Bytes
-packedPropertyBytes(const Container &props)
-{
-    Bytes out;
-    for (proto::SecurityProperty p : props)
-        wire::appendVarint(out, static_cast<std::uint64_t>(p));
-    return out;
-}
-
-bool
-unpackPackedProperties(const Bytes &packed, std::size_t limit,
-                       std::vector<std::uint64_t> &out)
-{
-    wire::WireReader r(packed);
-    while (!r.atEnd()) {
-        auto v = r.nextVarint();
-        if (!v || out.size() >= limit)
-            return false;
-        out.push_back(v.value());
-    }
-    return true;
-}
-
-} // namespace
-
-Bytes
-encodeVmRecordTagged(const VmRecord &rec)
-{
-    wire::WireWriter w;
-    w.reserve(128 + rec.image.size());
-    if (!rec.vid.empty())
-        w.putString(1, rec.vid);
-    if (!rec.name.empty())
-        w.putString(2, rec.name);
-    if (!rec.customer.empty())
-        w.putString(3, rec.customer);
-    if (!rec.imageName.empty())
-        w.putString(4, rec.imageName);
-    if (!rec.flavorName.empty())
-        w.putString(5, rec.flavorName);
-    if (rec.imageSizeMb != 0)
-        w.putVarint(6, rec.imageSizeMb);
-    if (!rec.image.empty())
-        w.putLen(7, rec.image);
-    if (rec.vcpus != 1)
-        w.putVarint(8, rec.vcpus);
-    if (rec.ramMb != 0)
-        w.putVarint(9, rec.ramMb);
-    if (rec.diskGb != 0)
-        w.putVarint(10, rec.diskGb);
-    if (!rec.properties.empty())
-        w.putLen(11, packedPropertyBytes(rec.properties));
-    if (!rec.serverId.empty())
-        w.putString(12, rec.serverId);
-    if (rec.status != VmStatus::Scheduling)
-        w.putVarint(13, static_cast<std::uint64_t>(rec.status));
-    for (const sim::StageRecord &s : rec.launchTimer.stages()) {
-        wire::WireWriter stage;
-        stage.putString(1, s.name);
-        stage.putSigned(2, s.start);
-        stage.putSigned(3, s.end);
-        w.putLen(14, stage.take());
-    }
-    if (rec.launchTimer.hasOpenStage()) {
-        wire::WireWriter open;
-        open.putString(1, rec.launchTimer.openStageName());
-        open.putSigned(2, rec.launchTimer.openStageStart());
-        w.putLen(15, open.take());
-    }
-    if (rec.launchAttempts != 0)
-        w.putSigned(16, rec.launchAttempts);
-    if (rec.launchedAt != 0)
-        w.putSigned(17, rec.launchedAt);
-    return w.take();
-}
-
-Result<VmRecord>
-decodeVmRecordTagged(const Bytes &data)
-{
-    using R = Result<VmRecord>;
-    wire::WireReader r(data);
-    VmRecord rec;
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return R::error("VmRecord: " + f.errorMessage());
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Len)
-                rec.vid = fld.asString();
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Len)
-                rec.name = fld.asString();
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Len)
-                rec.customer = fld.asString();
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Len)
-                rec.imageName = fld.asString();
-            break;
-          case 5:
-            if (fld.type == wire::WireType::Len)
-                rec.flavorName = fld.asString();
-            break;
-          case 6:
-            if (fld.type == wire::WireType::Varint)
-                rec.imageSizeMb = fld.varint;
-            break;
-          case 7:
-            if (fld.type == wire::WireType::Len)
-                rec.image = fld.bytes;
-            break;
-          case 8:
-            if (fld.type == wire::WireType::Varint)
-                rec.vcpus = static_cast<std::uint32_t>(fld.varint);
-            break;
-          case 9:
-            if (fld.type == wire::WireType::Varint)
-                rec.ramMb = fld.varint;
-            break;
-          case 10:
-            if (fld.type == wire::WireType::Varint)
-                rec.diskGb = fld.varint;
-            break;
-          case 11:
-            if (fld.type == wire::WireType::Len) {
-                std::vector<std::uint64_t> raw;
-                if (!unpackPackedProperties(fld.bytes, 64, raw))
-                    return R::error("VmRecord: bad properties");
-                rec.properties.clear();
-                for (std::uint64_t v : raw)
-                    rec.properties.push_back(
-                        static_cast<proto::SecurityProperty>(v));
-            }
-            break;
-          case 12:
-            if (fld.type == wire::WireType::Len)
-                rec.serverId = fld.asString();
-            break;
-          case 13:
-            if (fld.type == wire::WireType::Varint)
-                rec.status = static_cast<VmStatus>(fld.varint);
-            break;
-          case 14:
-            if (fld.type == wire::WireType::Len) {
-                wire::WireReader stage(fld.bytes);
-                std::string name;
-                SimTime start = 0, end = 0;
-                while (!stage.atEnd()) {
-                    auto sf = stage.next();
-                    if (!sf)
-                        return R::error("VmRecord: bad stage");
-                    const wire::WireField &s = sf.value();
-                    if (s.number == 1 && s.type == wire::WireType::Len)
-                        name = s.asString();
-                    else if (s.number == 2 &&
-                             s.type == wire::WireType::Varint)
-                        start = s.asSigned();
-                    else if (s.number == 3 &&
-                             s.type == wire::WireType::Varint)
-                        end = s.asSigned();
-                }
-                rec.launchTimer.record(name, start, end);
-            }
-            break;
-          case 15:
-            if (fld.type == wire::WireType::Len) {
-                wire::WireReader open(fld.bytes);
-                std::string name;
-                SimTime start = 0;
-                while (!open.atEnd()) {
-                    auto of = open.next();
-                    if (!of)
-                        return R::error("VmRecord: bad open stage");
-                    const wire::WireField &o = of.value();
-                    if (o.number == 1 && o.type == wire::WireType::Len)
-                        name = o.asString();
-                    else if (o.number == 2 &&
-                             o.type == wire::WireType::Varint)
-                        start = o.asSigned();
-                }
-                rec.launchTimer.beginStage(name, start);
-            }
-            break;
-          case 16:
-            if (fld.type == wire::WireType::Varint)
-                rec.launchAttempts =
-                    static_cast<int>(fld.asSigned());
-            break;
-          case 17:
-            if (fld.type == wire::WireType::Varint)
-                rec.launchedAt = fld.asSigned();
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    return R::ok(std::move(rec));
-}
-
-Bytes
-encodeServerRecordTagged(const ServerRecord &rec)
-{
-    wire::WireWriter w;
-    if (!rec.id.empty())
-        w.putString(1, rec.id);
-    if (!rec.capabilities.empty())
-        w.putLen(2, packedPropertyBytes(rec.capabilities));
-    if (rec.totalRamMb != 0)
-        w.putVarint(3, rec.totalRamMb);
-    if (rec.totalDiskGb != 0)
-        w.putVarint(4, rec.totalDiskGb);
-    if (rec.allocatedRamMb != 0)
-        w.putVarint(5, rec.allocatedRamMb);
-    if (rec.allocatedDiskGb != 0)
-        w.putVarint(6, rec.allocatedDiskGb);
-    if (rec.quarantined)
-        w.putVarint(7, 1);
-    return w.take();
-}
-
-Result<ServerRecord>
-decodeServerRecordTagged(const Bytes &data)
-{
-    using R = Result<ServerRecord>;
-    wire::WireReader r(data);
-    ServerRecord rec;
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return R::error("ServerRecord: " + f.errorMessage());
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Len)
-                rec.id = fld.asString();
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Len) {
-                std::vector<std::uint64_t> raw;
-                if (!unpackPackedProperties(fld.bytes, 64, raw))
-                    return R::error("ServerRecord: bad capabilities");
-                rec.capabilities.clear();
-                for (std::uint64_t v : raw)
-                    rec.capabilities.insert(
-                        static_cast<proto::SecurityProperty>(v));
-            }
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Varint)
-                rec.totalRamMb = fld.varint;
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Varint)
-                rec.totalDiskGb = fld.varint;
-            break;
-          case 5:
-            if (fld.type == wire::WireType::Varint)
-                rec.allocatedRamMb = fld.varint;
-            break;
-          case 6:
-            if (fld.type == wire::WireType::Varint)
-                rec.allocatedDiskGb = fld.varint;
-            break;
-          case 7:
-            if (fld.type == wire::WireType::Varint)
-                rec.quarantined = fld.varint != 0;
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    return R::ok(std::move(rec));
 }
 
 } // namespace monatt::controller

@@ -144,16 +144,6 @@ Result<VmRecord> decodeVmRecord(const Bytes &data);
 Bytes encodeServerRecord(const ServerRecord &rec);
 Result<ServerRecord> decodeServerRecord(const Bytes &data);
 
-// Tagged-field variants (schema-evolvable journal form; see DESIGN.md
-// §17). A journal record carrying a tagged payload sets
-// proto::kTaggedJournalBit in its StableStore type word.
-
-Bytes encodeVmRecordTagged(const VmRecord &rec);
-Result<VmRecord> decodeVmRecordTagged(const Bytes &data);
-
-Bytes encodeServerRecordTagged(const ServerRecord &rec);
-Result<ServerRecord> decodeServerRecordTagged(const Bytes &data);
-
 } // namespace monatt::controller
 
 #endif // MONATT_CONTROLLER_DATABASE_H

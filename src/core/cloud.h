@@ -280,8 +280,8 @@ class Cloud
      * Switch one node's emitted wire format at runtime (rolling
      * codec upgrade simulation). Resolves cloud servers, Attestation
      * Servers, controller shard replicas, the pCA and customers. The
-     * node keeps decoding both formats — only what it sends (and,
-     * for durable entities, what it journals) changes.
+     * node keeps decoding both formats — only what it sends
+     * changes; journals stay in the one legacy record format.
      */
     Status setNodeWireContext(const std::string &node,
                               const proto::WireContext &ctx);

@@ -16,8 +16,8 @@
  * Frames are self-describing: a tagged frame opens with
  * kTaggedFrameMarker (0xC1, not a valid legacy MessageKind byte), so a
  * receiver decodes whatever arrives regardless of its own WireContext.
- * The WireContext only chooses what a node *sends* (and how it encodes
- * its own journal payloads).
+ * The WireContext only chooses what a node *sends*; journal records,
+ * snapshots and replication entries are always the legacy layout.
  *
  * Field-numbering rules (enforced by wireSchemas() + the conformance
  * tests):
@@ -76,15 +76,6 @@ struct WireContext
  * MessageKind byte (1..54), so 0xC1 unambiguously marks the format.
  */
 inline constexpr std::uint8_t kTaggedFrameMarker = 0xC1;
-
-/**
- * OR'd into the u16 StableStore record type when the journal payload
- * is tagged-encoded. Dispatching on the type word (not by sniffing
- * payload bytes, which can legitimately start with anything) keeps
- * recovery unambiguous across a node's format changes. The CRC32C
- * record framing itself is unchanged.
- */
-inline constexpr std::uint16_t kTaggedJournalBit = 0x100;
 
 /** Reserved field number for senderBuild in attest-chain messages. */
 inline constexpr std::uint32_t kSenderBuildField = 15;

@@ -6,8 +6,10 @@
  * preimages are defined over the legacy bytes regardless of transport
  * encoding. Covers both directions (old controller + new AS, new
  * controller + old AS), a simulated rolling upgrade that flips a node
- * mid-attestation, tagged-journal crash recovery, and compute-plane
- * determinism of the all-tagged fleet.
+ * mid-attestation, crash recovery of a tagged-wire controller, and
+ * compute-plane determinism of the all-tagged fleet. The wire format
+ * governs frames only: every durable node journals the same legacy
+ * records whichever format it speaks.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include "core/cloud.h"
 #include "crypto/sha256.h"
+#include "sim/stable_store.h"
 
 namespace monatt::core
 {
@@ -271,13 +274,12 @@ TEST(MixedVersionTest, RollbackVerdictsAgreeAcrossCodecs)
             << proto::propertyName(property);
 }
 
-TEST(MixedVersionTest, TaggedJournalSurvivesCrashRecovery)
+TEST(MixedVersionTest, TaggedWireControllerSurvivesCrashRecovery)
 {
-    // A tagged-format controller journals tagged payloads (record
-    // type carries kTaggedJournalBit). After a crash + replay it must
-    // still know the VM and answer attestations — and the journal
-    // replay must work even though recovery runs before any frame
-    // arrives to hint at the format.
+    // A controller that speaks the tagged wire still journals legacy
+    // records. After a crash + replay it must still know the VM and
+    // answer attestations, with recovery running before any frame
+    // arrives.
     CloudConfig cfg = baseConfig();
     cfg.wire = kTagged;
     Cloud cloud(cfg);
@@ -298,11 +300,105 @@ TEST(MixedVersionTest, TaggedJournalSurvivesCrashRecovery)
     EXPECT_FALSE(stale.isOk());
 
     // The retry handshakes fresh and must verify end to end — proof
-    // the tagged journal replayed the VM record and counters.
+    // the journal replayed the VM record and counters.
     auto retried = cloud.attestOnce(customer, vid,
                                     proto::allProperties(), seconds(300));
     EXPECT_TRUE(retried.isOk()) << retried.errorMessage();
     EXPECT_EQ(customer.stats().reportsRejected, 0u);
+}
+
+/** One durable node's journal records and snapshot at one moment. */
+struct JournalImage
+{
+    std::string node;
+    std::vector<sim::JournalRecord> records;
+    Bytes snapshot;
+};
+
+/** The images of the controller, every AS and the pCA, in that order. */
+std::vector<JournalImage>
+journalImages(Cloud &cloud)
+{
+    std::vector<JournalImage> out;
+    auto add = [&out](const std::string &node,
+                      const sim::StableStore &store) {
+        out.push_back({node, store.durableSince(0), store.snapshotBytes()});
+    };
+    add(cloud.controller().id(), cloud.controller().stableStore());
+    for (std::size_t i = 0; i < cloud.numAttestationServers(); ++i)
+        add("as-" + std::to_string(i),
+            cloud.attestationServer(i).stableStore());
+    add("pca", cloud.privacyCa().stableStore());
+    return out;
+}
+
+/**
+ * Launch + attest, crash and restart the controller, attest again,
+ * with every node speaking `wire`. Returns the journal images taken
+ * just before the crash followed by those at the end.
+ */
+std::vector<JournalImage>
+journaledRun(const proto::WireContext &wire)
+{
+    CloudConfig cfg = baseConfig();
+    cfg.wire = wire;
+    // Tagged frames have other sizes than legacy ones; an unbounded
+    // link makes transfer time size-independent, so both runs share
+    // one timeline and the timestamps inside the records agree.
+    cfg.link.megabitsPerSecond = 1e12;
+    Cloud cloud(cfg);
+    Customer &customer = cloud.addCustomer("alice");
+    const std::string vid = launchOne(cloud, customer, "vm-j");
+    EXPECT_FALSE(attestBytes(cloud, customer, vid).empty());
+    std::vector<JournalImage> images = journalImages(cloud);
+
+    const std::string ctrl = cloud.controller().id();
+    EXPECT_TRUE(cloud.crashNode(ctrl));
+    cloud.runFor(seconds(1));
+    EXPECT_TRUE(cloud.restartNode(ctrl));
+    cloud.runFor(seconds(1));
+    // The first request fails on the pre-crash channel; the retry
+    // handshakes fresh (see TaggedWireControllerSurvivesCrashRecovery).
+    (void)cloud.attestOnce(customer, vid, proto::allProperties(),
+                           seconds(300));
+    EXPECT_FALSE(attestBytes(cloud, customer, vid).empty());
+
+    for (JournalImage &end : journalImages(cloud))
+        images.push_back(std::move(end));
+    return images;
+}
+
+TEST(MixedVersionTest, JournalRecordsDoNotDependOnWireFormat)
+{
+    // The wire format governs frames only: every durable node writes
+    // the same journal records (type word and payload) and snapshots
+    // whichever codec it speaks, so a disk image or a replicated
+    // follower's mirror never depends on the leader's wire setting.
+    const std::vector<JournalImage> legacy = journaledRun(kLegacy);
+    const std::vector<JournalImage> tagged = journaledRun(kTagged);
+    ASSERT_EQ(legacy.size(), tagged.size());
+
+    for (std::size_t n = 0; n < legacy.size(); ++n) {
+        const JournalImage &l = legacy[n];
+        const JournalImage &t = tagged[n];
+        ASSERT_EQ(l.node, t.node);
+        EXPECT_TRUE(l.snapshot == t.snapshot) << l.node << " snapshot";
+        ASSERT_EQ(l.records.size(), t.records.size()) << l.node;
+        for (std::size_t i = 0; i < l.records.size(); ++i) {
+            const sim::JournalRecord &lr = l.records[i];
+            const sim::JournalRecord &tr = t.records[i];
+            EXPECT_EQ(lr.lsn, tr.lsn) << l.node << " record " << i;
+            EXPECT_EQ(lr.type, tr.type) << l.node << " lsn " << lr.lsn;
+            EXPECT_TRUE(lr.payload == tr.payload)
+                << l.node << " lsn " << lr.lsn << " type " << lr.type
+                << ": " << lr.payload.size() << " vs " << tr.payload.size()
+                << " payload bytes";
+        }
+    }
+    // Every node journaled before the crash, so no comparison above
+    // is vacuous.
+    for (std::size_t n = 0; n < legacy.size() / 2; ++n)
+        EXPECT_FALSE(legacy[n].records.empty()) << legacy[n].node;
 }
 
 TEST(MixedVersionTest, TaggedFleetIsDeterministicAcrossPoolWidths)

@@ -244,7 +244,7 @@ sampleReplicateEntries()
     m.prevLsn = 4;
     ReplicatedRecord rec;
     rec.lsn = 5;
-    rec.type = 0x103; // a tagged journal record in flight
+    rec.type = 0x103; // any opaque u16 record type
     rec.payload = {0x41, 0x42};
     m.records.push_back(rec);
     m.commitLsn = 5;
@@ -687,17 +687,6 @@ TEST(WireConformanceTest, TcbSchemaRowsAreV3)
     }
     EXPECT_EQ(rows, 3u) << "tcbVersion rides exactly the quote/report "
                            "messages";
-}
-
-TEST(WireConformanceTest, TaggedJournalBitClearsToLegacyTypeRange)
-{
-    // The journal-type bit must sit above every released record type
-    // byte so masking it recovers the original enum value.
-    EXPECT_EQ(kTaggedJournalBit, 0x100);
-    for (std::uint16_t t = 1; t <= 0xff; ++t) {
-        EXPECT_EQ((t | kTaggedJournalBit) & ~kTaggedJournalBit, t);
-        EXPECT_NE(t | kTaggedJournalBit, t);
-    }
 }
 
 } // namespace
