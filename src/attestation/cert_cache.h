@@ -50,12 +50,8 @@ class CertVerificationCache
      */
     const crypto::RsaPublicKey *lookup(const Bytes &digest);
 
-    /**
-     * Like lookup() but without touching the hit/miss counters. The
-     * batched verifier peeks to decide which chain checks to fan out,
-     * then replays the real lookup/insert sequence serially so the
-     * observable stats stay identical to per-response verification.
-     */
+    /** Like lookup() but without touching the hit/miss counters
+     * (journal checkpointing reads the cache through this). */
     const crypto::RsaPublicKey *peek(const Bytes &digest) const;
 
     /** Record a successful verification (evicts oldest when full). */

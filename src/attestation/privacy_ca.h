@@ -42,18 +42,12 @@ class PrivacyCa
 {
   public:
     /**
-     * `batchWindow` fans certification requests maturing within the
-     * window of the first into one batch: identity checks and
-     * certificate signatures run on the compute plane, serial numbers
-     * and responses are assigned serially in arrival order. 0 still
-     * batches requests maturing at the same simulated timestamp.
      * `presetKeys` must equal deriveKeys(id, seed) when supplied;
      * Cloud construction uses it to parallelize entity keygen.
      */
     PrivacyCa(sim::EventQueue &eq, net::Network &network,
               net::KeyDirectory &directory, std::string id,
               proto::TimingModel timing, std::uint64_t seed,
-              SimTime batchWindow = 0,
               std::optional<crypto::RsaKeyPair> presetKeys = {});
 
     /** Deterministic identity-key derivation (see presetKeys). */
@@ -134,14 +128,9 @@ class PrivacyCa
     void setWireContext(const proto::WireContext &ctx) { wire_ = ctx; }
 
   private:
-    struct Pending
-    {
-        proto::CertRequest req;
-        net::NodeId from;
-    };
-
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
-    void flushBatch();
+    /** Check one request and answer it (certificate or refusal). */
+    void issue(const proto::CertRequest &req, const net::NodeId &from);
 
     /** Pack an outgoing message in this node's configured format. */
     template <typename M>
@@ -161,10 +150,7 @@ class PrivacyCa
     crypto::RsaPrivateContext signCtx;
     const net::KeyDirectory &dir;
     proto::TimingModel timing;
-    SimTime window;
     net::SecureEndpoint endpoint;
-    std::vector<Pending> pending;
-    bool flushScheduled = false;
     std::uint64_t serial = 0;
     std::uint64_t rejections = 0;
 
@@ -173,7 +159,7 @@ class PrivacyCa
      * with the already-issued response instead of minting a fresh
      * serial number. Keyed by (requester, session label); bounded
      * FIFO. `inFlight` suppresses duplicates that arrive while the
-     * first copy is still inside the processing/batch window.
+     * first copy is still inside the processing delay.
      */
     using CertKey = std::pair<net::NodeId, std::string>;
     std::map<CertKey, Bytes> issuedCache;

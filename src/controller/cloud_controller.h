@@ -101,16 +101,6 @@ struct CloudControllerConfig
     SimTime suspendRecheckPeriod = seconds(30);
 
     /**
-     * Fan-in batching window for report crypto. Attestor reports
-     * arriving within the window of the first one verify as one batch
-     * on the compute plane, and customer relays issued within one
-     * window share one signature fan-out; decisions and sends stay
-     * serial in arrival order. 0 still batches work landing at the
-     * same simulated timestamp.
-     */
-    SimTime batchWindow = 0;
-
-    /**
      * Pre-generated identity keys (must equal
      * deriveIdentityKeys(id, seed, identityKeyBits)); empty derives
      * them in the constructor.
@@ -439,8 +429,6 @@ class CloudController
     void onAttestRequest(const net::NodeId &from, const Bytes &body);
     void onLaunchVmAck(const net::NodeId &from, const Bytes &body);
     void onReportToController(const net::NodeId &from, const Bytes &body);
-    void flushReportBatch();
-    void flushRelayBatch();
     void onCommandAck(proto::MessageKind kind, const Bytes &body);
 
     void runSchedulingStage(const std::string &vid);
@@ -508,8 +496,8 @@ class CloudController
     std::uint64_t forwardAttestation(AttestContext ctx);
     void handleStartupReport(const AttestContext &ctx,
                              const proto::ReportToController &msg);
-    void handleCustomerReport(std::uint64_t attestId,
-                              const AttestContext &ctx,
+    /** Act on a customer report's verdict, then relay it signed. */
+    void handleCustomerReport(const AttestContext &ctx,
                               const proto::ReportToController &msg);
     /**
      * Start a §5 remediation for a negative report. `forceMigrate`
@@ -580,18 +568,6 @@ class CloudController
 
     /** Outstanding response command: vid -> response log index. */
     std::map<std::string, std::size_t> outstandingResponses;
-
-    /** Fan-in batches (see CloudControllerConfig::batchWindow). */
-    std::vector<proto::ReportToController> reportQueue;
-    bool reportFlushScheduled = false;
-    struct PendingRelay
-    {
-        proto::ReportToCustomer out;
-        net::NodeId customer;
-        bool cacheable = false; //!< One-time request: cache the relay.
-    };
-    std::vector<PendingRelay> relayQueue;
-    bool relayFlushScheduled = false;
 
     /** AS responsiveness, keyed by attestor id. */
     std::map<std::string, AsHealth> asHealth;

@@ -118,7 +118,7 @@ Cloud::Cloud(CloudConfig config)
     // Trusted infrastructure entities.
     pca = std::make_unique<attestation::PrivacyCa>(
         eventQueue, fabric, keyDirectory, "privacy-ca", cfg.timing,
-        cfg.seed ^ 0x1, cfg.cryptoBatchWindow, std::move(pcaKeys));
+        cfg.seed ^ 0x1, std::move(pcaKeys));
     pca->setDurable(cfg.durableControlPlane);
     pca->setIssuedCacheCapacity(cfg.dedupCacheCapacity);
     pca->setCheckpointPolicy(cfg.checkpointPolicy);
@@ -135,7 +135,6 @@ Cloud::Cloud(CloudConfig config)
                                    controllerNodeIds.end());
         asCfg.identityKeyBits = cfg.identityKeyBits;
         asCfg.enableVerificationCaches = cfg.enableAttestationCaches;
-        asCfg.batchWindow = cfg.cryptoBatchWindow;
         asCfg.durable = cfg.durableControlPlane;
         asCfg.checkpointPolicy = cfg.checkpointPolicy;
         asCfg.reportCacheCapacity = cfg.dedupCacheCapacity;
@@ -160,7 +159,6 @@ Cloud::Cloud(CloudConfig config)
         ccCfg.reliability = cfg.reliability;
         ccCfg.attestorIds = asIds;
         ccCfg.identityKeyBits = cfg.identityKeyBits;
-        ccCfg.batchWindow = cfg.cryptoBatchWindow;
         ccCfg.durable = cfg.durableControlPlane;
         ccCfg.checkpointPolicy = cfg.checkpointPolicy;
         ccCfg.relayCacheCapacity = cfg.dedupCacheCapacity;
@@ -218,7 +216,6 @@ Cloud::Cloud(CloudConfig config)
         scfg.intrusivePause = cfg.serverIntrusivePause;
         scfg.aikReuseLimit =
             cfg.enableAttestationCaches ? cfg.aikReuseLimit : 1;
-        scfg.batchWindow = cfg.cryptoBatchWindow;
         scfg.wire = cfg.wire;
         scfg.presetIdentityKeys =
             std::move(serverKeys[static_cast<std::size_t>(i)]);
@@ -533,8 +530,7 @@ Cloud::attestMany(Customer &customer,
                   SimTime timeout)
 {
     // Issue every request before running the simulation, so the whole
-    // fan-out is in flight concurrently and the entities' batching
-    // windows see it as overlapping work.
+    // fan-out is in flight concurrently.
     std::vector<std::uint64_t> requestIds;
     requestIds.reserve(vids.size());
     for (const std::string &vid : vids)

@@ -97,23 +97,14 @@ struct CloudConfig
     std::uint64_t aikReuseLimit = 16;
 
     /**
-     * Worker threads for the deterministic compute plane (the global
-     * sim::WorkerPool): 0 = one per hardware thread, 1 = legacy
-     * serial execution. The MONATT_THREADS environment variable
-     * overrides this value. Any setting yields bit-identical
-     * simulations — the pool only runs pure compute and results are
-     * always joined in submission order.
+     * Worker threads for the construction-time keygen fan-out (the
+     * global sim::WorkerPool): 0 = one per hardware thread, 1 = serial
+     * execution. The MONATT_THREADS environment variable overrides
+     * this value. Any setting yields bit-identical simulations: each
+     * key derivation is deterministic per entity, and the simulation
+     * itself always runs on one thread.
      */
     std::size_t computeThreads = 0;
-
-    /**
-     * Fan-in batching window for attestation crypto at every entity
-     * (servers, attestation servers, pCA, controller). Work maturing
-     * within the window of the first item runs as one compute-plane
-     * batch. 0 still batches same-timestamp work; composition depends
-     * only on simulated time, never on the host thread count.
-     */
-    SimTime cryptoBatchWindow = 0;
 
     /**
      * End-to-end reliability layer: retransmission timers, receive-side
@@ -331,10 +322,9 @@ class Cloud
     /**
      * Fan out one-shot attestations for all `vids` at once and wait
      * until every verified report arrived (or `timeout` simulated time
-     * passed). The concurrent requests exercise the batched crypto
-     * paths end to end: AIK preparation, pCA certification, quote
-     * signing, verification and report relay all fan in. Results are
-     * returned in `vids` order.
+     * passed). The requests overlap in simulated time, so every entity
+     * interleaves several attestations. Results are returned in `vids`
+     * order.
      */
     std::vector<Result<VerifiedReport>> attestMany(
         Customer &customer, const std::vector<std::string> &vids,

@@ -114,16 +114,6 @@ struct CloudServerConfig
     std::uint64_t aikReuseLimit = 16;
 
     /**
-     * Fan-in batching window for Trust Module crypto. Attestation-key
-     * preparations (and, independently, quote signatures) maturing
-     * within the window of the first one run as one batch on the
-     * compute plane; handles, labels and sends stay serial in arrival
-     * order. 0 still batches work maturing at the same simulated
-     * timestamp — batch composition depends only on sim time.
-     */
-    SimTime batchWindow = 0;
-
-    /**
      * Pre-generated identity keys (must equal
      * deriveIdentityKeys(id, seed, identityKeyBits)) and TPM
      * endorsement key (must equal TrustModule::deriveTpmKey); empty
@@ -273,7 +263,6 @@ class CloudServer
         bool haveCert = false;
         proto::MeasurementSet m;
         bool measured = false;
-        bool queued = false; //!< Already in the quote-sign batch.
         Bytes certRequestBytes;      //!< For identical pCA retries.
         int certRetries = 0;
         sim::EventId certTimer = 0; //!< 0 = none pending.
@@ -305,8 +294,9 @@ class CloudServer
     void collectMeasurements(std::uint64_t requestId);
     void finishMeasurements(std::uint64_t requestId);
     void maybeRespond(std::uint64_t requestId);
-    void flushAikPrep();
-    void flushQuoteBatch();
+    /** Open the AIK session of a pending attestation and send it to
+     * the pCA for certification. */
+    void beginAikSession(std::uint64_t requestId);
     hypervisor::DomainId createVmDomain(const proto::LaunchVm &req);
 
     /** Drop a pending attestation's hold on a Trust Module session;
@@ -368,12 +358,6 @@ class CloudServer
     AikSessionCache aikCache;
     /** In-flight uses per Trust Module session handle. */
     std::map<tpm::SessionHandle, std::size_t> sessionRefs;
-
-    /** Fan-in batches (see CloudServerConfig::batchWindow). */
-    std::vector<std::uint64_t> aikPrepQueue;
-    bool aikFlushScheduled = false;
-    std::vector<std::uint64_t> quoteQueue;
-    bool quoteFlushScheduled = false;
 
     /** Pending migration: vid -> controller that asked. */
     std::map<std::string, net::NodeId> migrations;

@@ -1,29 +1,25 @@
 /**
  * @file
- * Deterministic parallel compute plane.
+ * Deterministic fork/join pool for construction-time key generation.
  *
  * The simulation kernel is single-clocked: every event executes on the
- * driver thread in a deterministic order. The WorkerPool lets crypto-
- * dominant phases (RSA keygen, quote signing, certificate-chain
- * verification) fan out across host threads *without* perturbing that
- * order, under one contract:
+ * driver thread in a deterministic order, and each entity does its
+ * crypto inline on the event that needs it. The one place the pool
+ * runs is core::Cloud construction, which derives every entity's
+ * long-term RSA keys (independent, deterministic per entity) as one
+ * parallelFor. The contract:
  *
  *  - Only pure compute runs on the pool. A task may read state the
  *    driver thread published before the fork and write only its own
- *    index-addressed output slot. All shared-state mutation (caches,
- *    counters, DRBG forks, event scheduling, message sends) happens on
- *    the driver thread in serial pre-/post-passes, in submission
- *    order.
- *  - Join order is submission order: parallelFor() returns only after
- *    every task completed, and map() yields results indexed exactly
- *    like the inputs. The first failing index wins when rethrowing.
+ *    index-addressed output slot.
+ *  - parallelFor() returns only after every task completed. The first
+ *    failing index wins when rethrowing.
  *  - Every task always runs, even after another task threw, so a run
  *    with threads=1 and a run with threads=8 perform the identical
  *    work.
  *
  * With `threads <= 1` no worker threads exist and tasks run inline on
- * the caller — the legacy serial path, bit-identical to any other
- * thread count by construction.
+ * the caller, bit-identical to any other thread count by construction.
  */
 
 #ifndef MONATT_SIM_WORKER_POOL_H
@@ -70,20 +66,7 @@ class WorkerPool
                      const std::function<void(std::size_t)> &fn);
 
     /**
-     * Deterministic parallel map: out[i] = fn(i), joined in submission
-     * order. T must be default-constructible and movable.
-     */
-    template <typename T, typename Fn>
-    std::vector<T>
-    map(std::size_t n, Fn &&fn)
-    {
-        std::vector<T> out(n);
-        parallelFor(n, [&](std::size_t i) { out[i] = fn(i); });
-        return out;
-    }
-
-    /**
-     * Process-wide pool used by the simulation entities.
+     * Process-wide pool used by Cloud construction.
      *
      * Cloud construction calls configureGlobal() with
      * CloudConfig::computeThreads (the MONATT_THREADS environment

@@ -136,16 +136,6 @@ class TrustModule
      */
     AttestationSessionInfo beginSession();
 
-    /**
-     * Create `n` fresh attestation sessions at once. The RNG forks and
-     * handle assignment happen serially in order (the DRBG stream and
-     * the handles are identical to n beginSession() calls), while the
-     * pure per-session work — key generation, Montgomery context
-     * compilation, the identity signature over AVKs — fans out across
-     * the compute plane. Results are returned in submission order.
-     */
-    std::vector<AttestationSessionInfo> beginSessions(std::size_t n);
-
     /** Sign a measurement blob with the session's ASKs (step 6). */
     Result<Bytes> signWithSession(SessionHandle handle,
                                   const Bytes &message) const;

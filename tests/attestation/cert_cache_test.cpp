@@ -154,10 +154,10 @@ class CertCacheEndToEnd : public ::testing::Test
     }
 
     /** A pCA certificate over the fixture AIK. */
-    Bytes issueAikCert()
+    Bytes issueAikCert(std::uint64_t serial = 7)
     {
-        return tpm::issueCertificate("aik-e2e", aik.pub, "privacy-ca", 7,
-                                     pcaKeys.priv)
+        return tpm::issueCertificate("aik-e2e", aik.pub, "privacy-ca",
+                                     serial, pcaKeys.priv)
             .encode();
     }
 
@@ -185,6 +185,15 @@ class CertCacheEndToEnd : public ::testing::Test
      * `certBytes`, signed by the fixture AIK, and run the network. */
     void respond(const proto::MeasureRequest &req, const Bytes &certBytes)
     {
+        sendResponse(req, certBytes);
+        events.advance(seconds(10));
+    }
+
+    /** Send the response without running the network; returns its
+     * encoded size. */
+    std::size_t sendResponse(const proto::MeasureRequest &req,
+                             const Bytes &certBytes)
+    {
         proto::MeasureResponse resp;
         resp.requestId = req.requestId;
         resp.vid = req.vid;
@@ -195,10 +204,11 @@ class CertCacheEndToEnd : public ::testing::Test
             resp.vid, resp.rm, resp.m, resp.nonce3);
         resp.signature = crypto::rsaSign(aik.priv, resp.signedPortion());
         resp.certificate = certBytes;
+        const Bytes body = resp.encode();
         server.sendSecure(as.id(),
                           proto::packMessage(MessageKind::MeasureResponse,
-                                             resp.encode()));
-        events.advance(seconds(10));
+                                             body));
+        return body.size();
     }
 
     sim::EventQueue events;
@@ -233,6 +243,22 @@ TEST_F(CertCacheEndToEnd, ReusedCertificateHitsCache)
     EXPECT_EQ(as.stats().certCacheMisses, 1u);
     EXPECT_EQ(as.stats().certCacheHits, 1u);
     ASSERT_EQ(reports.size(), 2u);
+
+    // Another certificate, carried by two responses that reach the AS
+    // at the same simulated instant (equal sizes on one link, sent
+    // together): they are verified one after the other, so the first
+    // misses and inserts and the second hits.
+    const Bytes other = issueAikCert(8);
+    const proto::MeasureRequest r3 = forwardAndCapture(3);
+    const proto::MeasureRequest r4 = forwardAndCapture(4);
+    ASSERT_EQ(sendResponse(r3, other), sendResponse(r4, other));
+    events.advance(seconds(10));
+    EXPECT_EQ(as.stats().responsesVerified, 4u);
+    EXPECT_EQ(as.stats().verificationFailures, 0u);
+    EXPECT_EQ(as.stats().certCacheMisses, 2u);
+    EXPECT_EQ(as.stats().certCacheHits, 2u);
+    EXPECT_EQ(as.certificateCache().size(), 2u);
+    ASSERT_EQ(reports.size(), 4u);
 }
 
 TEST_F(CertCacheEndToEnd, TamperedCertificateMissesAndYieldsUnknown)

@@ -3,10 +3,10 @@
  * Compute-plane determinism: the same seeded deployment must produce
  * byte-identical attestation reports and an identical event-execution
  * count whether the worker pool runs serial (computeThreads = 1) or
- * wide (computeThreads = 8). The scenario deliberately crosses every
- * batched path — VM launches with startup attestation, a concurrent
- * attestMany fan-out, and a covert-channel round whose usage
- * histograms are sensitive to any scheduling perturbation.
+ * wide (computeThreads = 8). The scenario crosses every crypto path —
+ * VM launches with startup attestation, a concurrent attestMany
+ * fan-out, and a covert-channel round whose usage histograms are
+ * sensitive to any scheduling perturbation.
  */
 
 #include <gtest/gtest.h>
@@ -53,7 +53,6 @@ runScenario(std::size_t computeThreads)
     cfg.numServers = 4;
     cfg.seed = 424242;
     cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
 
@@ -67,8 +66,8 @@ runScenario(std::size_t computeThreads)
             trace.vids.push_back(vid.take());
     }
 
-    // Concurrent fan-out: exercises AIK prep, pCA certification,
-    // quote signing, verification and relay batches all at once.
+    // Concurrent fan-out: AIK prep, pCA certification, quote signing,
+    // verification and relay of several attestations interleave.
     for (auto &r :
          cloud.attestMany(customer, trace.vids, proto::allProperties()))
         EXPECT_TRUE(r.isOk()) << r.errorMessage();
@@ -127,8 +126,8 @@ TEST(DeterminismTest, SerialAndWidePoolsAreBitIdentical)
 
 TEST(DeterminismTest, OddPoolWidthMatchesToo)
 {
-    // A width that does not divide the batch sizes exercises the
-    // work-stealing boundaries of parallelFor.
+    // A width that does not divide the construction keygen fan-out
+    // exercises the work-stealing boundaries of parallelFor.
     const Trace serial = runScenario(1);
     const Trace odd = runScenario(3);
     EXPECT_EQ(serial.reportDigest, odd.reportDigest);
@@ -162,7 +161,6 @@ runChaosScenario(std::size_t computeThreads, double drop, bool crash,
     cfg.numAttestationServers = 2;
     cfg.seed = 31337;
     cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
 
@@ -287,7 +285,6 @@ runControllerCrashScenario(std::size_t computeThreads, double drop)
     cfg.numAttestationServers = 2;
     cfg.seed = 98765;
     cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
 
@@ -410,7 +407,6 @@ runShardChaosScenario(std::size_t computeThreads, double drop)
     cfg.numAttestationServers = 2;
     cfg.seed = 55001;
     cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = 4;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");

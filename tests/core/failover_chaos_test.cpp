@@ -57,7 +57,6 @@ runDualLeaderKill(std::size_t computeThreads, double drop)
     cfg.numAttestationServers = 2;
     cfg.seed = 91001;
     cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = 2;
     cfg.controllerReplicas = 3;
     Cloud cloud(cfg);

@@ -410,7 +410,6 @@ TEST(MixedVersionTest, TaggedFleetIsDeterministicAcrossPoolWidths)
         CloudConfig cfg = baseConfig();
         cfg.wire = kTagged;
         cfg.computeThreads = threads;
-        cfg.cryptoBatchWindow = usec(200);
         Cloud cloud(cfg);
         Customer &customer = cloud.addCustomer("alice");
         std::vector<std::string> vids;

@@ -60,7 +60,6 @@ runCorruptionSweep(std::size_t computeThreads, double rot)
     cfg.numAttestationServers = 2;
     cfg.seed = 92001;
     cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     // Tight checkpoint cadence: rot lands on both journal frames and
     // sealed snapshots.
     cfg.checkpointPolicy.everyRecords = 32;
@@ -187,7 +186,6 @@ TEST(StorageChaosTest, ReplicaMirrorSelfHealsFromLeaderStream)
     cfg.numAttestationServers = 2;
     cfg.seed = 92002;
     cfg.computeThreads = 1;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = 1;
     cfg.controllerReplicas = 3;
     Cloud cloud(cfg);

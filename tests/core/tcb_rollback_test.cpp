@@ -412,7 +412,6 @@ runRollbackChaos(std::size_t computeThreads, double drop)
     cfg.numAttestationServers = 2;
     cfg.seed = 93005;
     cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.minimumTcbVersion = 2;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
