@@ -63,7 +63,8 @@ AttestationServer::AttestationServer(sim::EventQueue &eq,
                                      net::KeyDirectory &directory,
                                      AttestationServerConfig config,
                                      std::uint64_t seed)
-    : events(eq), cfg(std::move(config)),
+    : DurableEntity(eq, config.id, config.durability),
+      cfg(std::move(config)),
       keys(cfg.presetIdentityKeys
                ? *std::move(cfg.presetIdentityKeys)
                : deriveIdentityKeys(cfg.id, seed, cfg.identityKeyBits)),
@@ -71,8 +72,9 @@ AttestationServer::AttestationServer(sim::EventQueue &eq,
       endpoint(network, cfg.id, keys, directory,
                endpointSeed(cfg.id, seed)),
       registry(InterpreterRegistry::withDefaults()), rng(seed ^ 0xa5a5),
-      certCache(cfg.certCacheCapacity), store(cfg.id),
-      ckptPolicy(cfg.checkpointPolicy), nextSession(sessionBase(cfg.id))
+      certCache(kCertCacheCapacity),
+      reportCache(cfg.durability.dedupCacheCapacity),
+      nextSession(sessionBase(cfg.id))
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
@@ -80,6 +82,15 @@ AttestationServer::AttestationServer(sim::EventQueue &eq,
     endpoint.setReliability(net::EndpointReliability{
         cfg.reliability.enabled, cfg.reliability.handshakeRto,
         cfg.reliability.handshakeRetryLimit});
+}
+
+AttestationServerStats
+AttestationServer::stats() const
+{
+    AttestationServerStats s = counters;
+    s.recoveries = recoveries();
+    s.corruptRecoveries = corruptRecoveries();
+    return s;
 }
 
 void
@@ -174,7 +185,7 @@ AttestationServer::onAttestForward(const net::NodeId &from,
         return;
     const AttestForward fwd = fwdR.take();
 
-    events.scheduleAfter(cfg.timing.attestorProcessing,
+    events.scheduleAfter(cfg.timing.attestorProcessing, fence,
                          [this, from, fwd] { processForward(from, fwd); },
                          "as.forward");
 }
@@ -191,8 +202,7 @@ AttestationServer::processForward(const net::NodeId &from,
             ++counters.duplicateForwards;
             return;
         }
-        const auto cached = reportCache.find(fwd.requestId);
-        if (cached != reportCache.end()) {
+        if (const Bytes *cached = reportCache.find(fwd.requestId)) {
             ++counters.duplicateForwards;
             // Answer the shard that asked: after a controller-side
             // failover or crash the retransmission may come from a
@@ -200,7 +210,7 @@ AttestationServer::processForward(const net::NodeId &from,
             endpoint.sendSecure(from,
                                 proto::packMessage(
                                     MessageKind::ReportToController,
-                                    Bytes(cached->second)));
+                                    Bytes(*cached)));
             return;
         }
         forwardInFlight.insert(fwd.requestId);
@@ -252,7 +262,8 @@ AttestationServer::runPeriodicRound(const std::string &key)
                   static_cast<SimTime>(rng.nextBounded(
                       static_cast<std::uint64_t>(cfg.randomPeriodMax -
                                                  cfg.randomPeriodMin)));
-    events.scheduleAfter(period, [this, key] { runPeriodicRound(key); },
+    events.scheduleAfter(period, fence,
+                         [this, key] { runPeriodicRound(key); },
                          "as.periodic");
 }
 
@@ -303,7 +314,7 @@ AttestationServer::scheduleMeasureRetry(std::uint64_t sessionId)
     const SimTime rto = cfg.reliability.rto(cfg.reliability.measureRto,
                                             est);
     const SimTime delay = cfg.reliability.backoff(rto, s.retries);
-    s.retryTimer = events.scheduleAfter(delay, [this, sessionId] {
+    s.retryTimer = events.scheduleAfter(delay, fence, [this, sessionId] {
         auto it = sessions.find(sessionId);
         if (it == sessions.end())
             return;
@@ -339,16 +350,13 @@ AttestationServer::scheduleMeasureRetry(std::uint64_t sessionId)
 void
 AttestationServer::rememberReport(std::uint64_t requestId, Bytes encoded)
 {
-    const auto [it, inserted] =
-        reportCache.emplace(requestId, std::move(encoded));
-    if (inserted) {
-        journalReport(requestId, it->second);
-        reportOrder.push_back(requestId);
-        while (reportOrder.size() > cfg.reportCacheCapacity) {
-            reportCache.erase(reportOrder.front());
-            reportOrder.pop_front();
-        }
-    }
+    if (reportCache.contains(requestId))
+        return;
+    ByteWriter w;
+    putReport(w, requestId, encoded);
+    journal(static_cast<std::uint16_t>(JournalType::ReportRemember),
+            w.take());
+    reportCache.insert(requestId, std::move(encoded));
 }
 
 const crypto::RsaPublicContext &
@@ -471,7 +479,10 @@ AttestationServer::verifyResponse(const Session &session,
         avk = chain.take();
         if (cfg.enableVerificationCaches) {
             certCache.insert(digest, avk);
-            journalCert(digest, avk);
+            ByteWriter w;
+            putCert(w, digest, avk);
+            journal(static_cast<std::uint16_t>(JournalType::CertInsert),
+                    w.take());
         }
     }
 
@@ -513,7 +524,7 @@ AttestationServer::applyVerified(const Session &session,
             }
             report.results.push_back(std::move(pr));
         }
-        events.scheduleAfter(cfg.timing.interpretation,
+        events.scheduleAfter(cfg.timing.interpretation, fence,
                              [this, session, report]() mutable {
             report.issuedAt = events.now();
             issueReport(session, std::move(report));
@@ -534,7 +545,7 @@ AttestationServer::applyVerified(const Session &session,
     }
     measurementArchive[session.forward.vid] = m;
 
-    events.scheduleAfter(cfg.timing.interpretation,
+    events.scheduleAfter(cfg.timing.interpretation, fence,
                          [this, session, m, previous,
                           havePrevious]() mutable {
         InterpretationContext ctx;
@@ -624,6 +635,7 @@ AttestationServer::crash()
     if (!endpoint.attached())
         return;
     MONATT_LOG(Info, "as") << cfg.id << ": crash";
+    fence.bump();
     endpoint.detach();
     for (auto &[id, s] : sessions) {
         if (s.retryTimer != 0)
@@ -638,7 +650,6 @@ AttestationServer::crash()
     certCache.clear();
     forwardInFlight.clear();
     reportCache.clear();
-    reportOrder.clear();
     serverRtt.clear();
     // The un-fsynced journal tail is the page cache: lost.
     store.crash();
@@ -651,69 +662,65 @@ AttestationServer::restart()
         return;
     MONATT_LOG(Info, "as") << cfg.id << ": restart";
     endpoint.attach();
-    if (cfg.durable)
+    if (durable())
         recover();
 }
 
 // --- Durability: WAL + recovery ---------------------------------------
 
 void
-AttestationServer::journalReport(std::uint64_t requestId,
-                                 const Bytes &encoded)
+AttestationServer::putReport(ByteWriter &w, std::uint64_t requestId,
+                             const Bytes &encoded)
 {
-    if (!cfg.durable || replaying)
-        return;
-    ByteWriter w;
     w.putU64(requestId);
     w.putBytes(encoded);
-    store.append(static_cast<std::uint16_t>(JournalType::ReportRemember),
-                 w.take());
+}
+
+bool
+AttestationServer::applyReport(ByteReader &r)
+{
+    auto requestId = r.getU64();
+    auto encoded = r.getBytes();
+    if (!requestId || !encoded)
+        return false;
+    reportCache.insert(requestId.value(), encoded.take());
+    return true;
 }
 
 void
-AttestationServer::journalCert(const Bytes &digest,
-                               const crypto::RsaPublicKey &avk)
+AttestationServer::putCert(ByteWriter &w, const Bytes &digest,
+                           const crypto::RsaPublicKey &avk)
 {
-    if (!cfg.durable || replaying)
-        return;
-    ByteWriter w;
     w.putBytes(digest);
     w.putBytes(avk.encode());
-    store.append(static_cast<std::uint16_t>(JournalType::CertInsert),
-                 w.take());
 }
 
-void
-AttestationServer::commitJournal()
+bool
+AttestationServer::applyCert(ByteReader &r)
 {
-    if (!cfg.durable || replaying)
-        return;
-    if (store.pendingRecords() > 0)
-        store.sync();
-    if (ckptPolicy.shouldCheckpoint(store, events.now())) {
-        store.checkpoint(snapshotState());
-        ckptPolicy.noteCheckpoint();
-    }
+    auto digest = r.getBytes();
+    auto avkBytes = r.getBytes();
+    if (!digest || !avkBytes)
+        return false;
+    if (auto avk = crypto::RsaPublicKey::decode(avkBytes.value()))
+        certCache.insert(digest.take(), avk.take());
+    return true;
 }
 
 Bytes
 AttestationServer::snapshotState() const
 {
     ByteWriter w;
-    // Report dedup cache in FIFO order so eviction replays identically.
-    w.putU32(static_cast<std::uint32_t>(reportOrder.size()));
-    for (std::uint64_t requestId : reportOrder) {
-        w.putU64(requestId);
-        w.putBytes(reportCache.at(requestId));
-    }
-    // Verified certificate chains, same ordering rule.
-    const auto &digests = certCache.insertionOrder();
-    w.putU32(static_cast<std::uint32_t>(digests.size()));
-    for (const Bytes &digest : digests) {
-        const crypto::RsaPublicKey *avk = certCache.peek(digest);
-        w.putBytes(digest);
-        w.putBytes(avk ? avk->encode() : Bytes{});
-    }
+    // Both caches in FIFO order so eviction replays identically.
+    w.putU32(static_cast<std::uint32_t>(reportCache.size()));
+    reportCache.forEach([&w](std::uint64_t requestId, const Bytes &encoded) {
+        putReport(w, requestId, encoded);
+    });
+    w.putU32(static_cast<std::uint32_t>(certCache.size()));
+    certCache.entries().forEach(
+        [&w](const Bytes &digest, const crypto::RsaPublicKey &avk) {
+            putCert(w, digest, avk);
+        });
     return w.take();
 }
 
@@ -721,32 +728,8 @@ void
 AttestationServer::applySnapshot(const Bytes &snapshot)
 {
     ByteReader r(snapshot);
-    auto reportCount = r.getU32();
-    for (std::uint32_t i = 0; reportCount && i < reportCount.value();
-         ++i) {
-        auto requestId = r.getU64();
-        auto encoded = r.getBytes();
-        if (!requestId || !encoded)
-            return;
-        if (reportCache.emplace(requestId.value(), encoded.take())
-                .second) {
-            reportOrder.push_back(requestId.value());
-            while (reportOrder.size() > cfg.reportCacheCapacity) {
-                reportCache.erase(reportOrder.front());
-                reportOrder.pop_front();
-            }
-        }
-    }
-    auto certCount = r.getU32();
-    for (std::uint32_t i = 0; certCount && i < certCount.value(); ++i) {
-        auto digest = r.getBytes();
-        auto avkBytes = r.getBytes();
-        if (!digest || !avkBytes)
-            return;
-        auto avk = crypto::RsaPublicKey::decode(avkBytes.value());
-        if (avk)
-            certCache.insert(digest.take(), avk.take());
-    }
+    applyEach(r, [this](ByteReader &e) { return applyReport(e); }) &&
+        applyEach(r, [this](ByteReader &e) { return applyCert(e); });
 }
 
 void
@@ -754,57 +737,13 @@ AttestationServer::applyJournalRecord(const sim::JournalRecord &rec)
 {
     ByteReader r(rec.payload);
     switch (static_cast<JournalType>(rec.type)) {
-      case JournalType::ReportRemember: {
-        auto requestId = r.getU64();
-        auto encoded = r.getBytes();
-        if (requestId && encoded)
-            rememberReport(requestId.value(), encoded.take());
+      case JournalType::ReportRemember:
+        applyReport(r);
         break;
-      }
-      case JournalType::CertInsert: {
-        auto digest = r.getBytes();
-        auto avkBytes = r.getBytes();
-        if (!digest || !avkBytes)
-            break;
-        auto avk = crypto::RsaPublicKey::decode(avkBytes.value());
-        if (avk)
-            certCache.insert(digest.take(), avk.take());
+      case JournalType::CertInsert:
+        applyCert(r);
         break;
-      }
     }
-}
-
-void
-AttestationServer::recover()
-{
-    ++counters.recoveries;
-    replaying = true;
-    auto image = store.replay();
-    if (!image.clean) {
-        // Replay healed a torn/rotted image down to its verified
-        // prefix. Lost dedup-cache entries only cost idempotency (a
-        // retransmitted forward re-verifies instead of re-serving),
-        // never correctness.
-        ++counters.corruptRecoveries;
-        MONATT_LOG(Info, "as")
-            << cfg.id << ": replay quarantined "
-            << image.quarantinedRecords << " and truncated "
-            << image.truncatedRecords << " corrupt journal records"
-            << (image.snapshotQuarantined ? " (snapshot seal failed)"
-                                          : "");
-    }
-    if (image.hasSnapshot)
-        applySnapshot(image.snapshot);
-    for (const sim::JournalRecord &rec : image.records)
-        applyJournalRecord(rec);
-    replaying = false;
-    // Recovery doubles as a checkpoint.
-    store.checkpoint(snapshotState());
-    ckptPolicy.noteCheckpoint();
-    MONATT_LOG(Info, "as")
-        << cfg.id << ": recovered " << reportCache.size()
-        << " cached reports, " << certCache.size()
-        << " verified chains";
 }
 
 } // namespace monatt::attestation

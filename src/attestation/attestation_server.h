@@ -27,7 +27,6 @@
 #define MONATT_ATTESTATION_ATTESTATION_SERVER_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -35,12 +34,12 @@
 
 #include "attestation/cert_cache.h"
 #include "attestation/interpreters.h"
+#include "common/codec.h"
+#include "common/fifo_cache.h"
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
 #include "proto/timing_model.h"
-#include "sim/checkpoint_policy.h"
-#include "sim/event_queue.h"
-#include "sim/stable_store.h"
+#include "sim/durable_entity.h"
 
 namespace monatt::attestation
 {
@@ -70,15 +69,12 @@ struct AttestationServerConfig
 
     /**
      * Memoize successful pCA certificate verifications by certificate
-     * digest, so a reused AVK session is chain-checked once instead of
-     * once per MeasureResponse. Cache hits are byte-identical
-     * decisions to cold verification; failures are never cached.
+     * digest (up to kCertCacheCapacity chains), so a reused AVK
+     * session is chain-checked once instead of once per
+     * MeasureResponse. Cache hits are byte-identical decisions to cold
+     * verification; failures are never cached.
      */
     bool enableVerificationCaches = true;
-    std::size_t certCacheCapacity = 256;
-
-    /** Receive-side AttestForward dedup cache bound (FIFO eviction). */
-    std::size_t reportCacheCapacity = 128;
 
     /**
      * Minimum-TCB policy (interpreters.h). When armed the AS requests
@@ -94,13 +90,10 @@ struct AttestationServerConfig
      * Durable appraiser state: journal dedup-cache and verified-chain
      * insertions to a write-ahead StableStore so a restarted AS keeps
      * answering retransmitted forwards idempotently instead of
-     * double-signing reports it already issued.
+     * double-signing reports it already issued. The dedup bound caps
+     * the AttestForward report cache.
      */
-    bool durable = true;
-
-    /** Journal-compaction triggers (count / size / age); all 0 =
-     * never checkpoint. */
-    sim::CheckpointPolicyConfig checkpointPolicy;
+    sim::DurableConfig durability;
 
     /**
      * Pre-generated identity keys (must equal
@@ -143,9 +136,12 @@ struct AttestationServerStats
 };
 
 /** The Attestation Server entity. */
-class AttestationServer
+class AttestationServer : public sim::DurableEntity
 {
   public:
+    /** Verified certificate chains kept by the chain cache. */
+    static constexpr std::size_t kCertCacheCapacity = 256;
+
     AttestationServer(sim::EventQueue &eq, net::Network &network,
                       net::KeyDirectory &directory,
                       AttestationServerConfig config, std::uint64_t seed);
@@ -188,7 +184,7 @@ class AttestationServer
     /** Number of active periodic attestation tasks. */
     std::size_t activePeriodicTasks() const;
 
-    const AttestationServerStats &stats() const { return counters; }
+    AttestationServerStats stats() const;
 
     /** The certificate verification cache (bench/test introspection). */
     const CertVerificationCache &certificateCache() const
@@ -210,23 +206,17 @@ class AttestationServer
     /** True while attached to the network. */
     bool isUp() const { return endpoint.attached(); }
 
-    /** The appraiser's durable store (journal + checkpoints). */
-    const sim::StableStore &stableStore() const { return store; }
-
-    /** Install the disk-failure model on the store (nullptr = clean
-     * disk). Wired by core::Cloud when a fault plan is installed. */
-    void setStorageFaults(const sim::StorageFaultModel *model)
-    {
-        store.setFaultModel(model);
-    }
-
     /** Dedup-cache introspection (bounds/eviction tests). */
     std::size_t reportCacheSize() const { return reportCache.size(); }
 
     /** Cached report request ids in FIFO eviction order. */
     std::vector<std::uint64_t> reportCacheRequestIds() const
     {
-        return {reportOrder.begin(), reportOrder.end()};
+        std::vector<std::uint64_t> ids;
+        ids.reserve(reportCache.size());
+        reportCache.forEach(
+            [&ids](std::uint64_t id, const Bytes &) { ids.push_back(id); });
+        return ids;
     }
 
     /** Wire codec this node emits (mixed-version tests flip it at
@@ -311,7 +301,6 @@ class AttestationServer
     const crypto::RsaPublicContext &pcaContext(
         const crypto::RsaPublicKey &key);
 
-    sim::EventQueue &events;
     AttestationServerConfig cfg;
     crypto::RsaKeyPair keys;
     /** Compiled identity key for report signatures. */
@@ -337,8 +326,7 @@ class AttestationServer
      * cached signed report — never by double-signing. Bounded FIFO.
      */
     std::set<std::uint64_t> forwardInFlight;
-    std::map<std::uint64_t, Bytes> reportCache;
-    std::deque<std::uint64_t> reportOrder;
+    FifoCache<std::uint64_t, Bytes> reportCache;
 
     // --- Durability (write-ahead journal) ------------------------------
 
@@ -349,19 +337,18 @@ class AttestationServer
         CertInsert = 2,     //!< cert digest + verified AVK.
     };
 
-    void journalReport(std::uint64_t requestId, const Bytes &encoded);
-    void journalCert(const Bytes &digest, const crypto::RsaPublicKey &avk);
+    /** One encoder and one applier per record kind; a snapshot is a
+     * count-prefixed run of each kind in cache (FIFO) order. */
+    static void putReport(ByteWriter &w, std::uint64_t requestId,
+                          const Bytes &encoded);
+    bool applyReport(ByteReader &r);
+    static void putCert(ByteWriter &w, const Bytes &digest,
+                        const crypto::RsaPublicKey &avk);
+    bool applyCert(ByteReader &r);
 
-    /** fsync + checkpoint policy; end of every mutating event. */
-    void commitJournal();
-    Bytes snapshotState() const;
-    void applySnapshot(const Bytes &snapshot);
-    void applyJournalRecord(const sim::JournalRecord &rec);
-    void recover();
-
-    sim::StableStore store;
-    sim::CheckpointPolicy ckptPolicy;
-    bool replaying = false; //!< recover() in progress: journal muted.
+    Bytes snapshotState() const override;
+    void applySnapshot(const Bytes &snapshot) override;
+    void applyJournalRecord(const sim::JournalRecord &rec) override;
 
     /** Per-server RTT estimators feeding the adaptive measureRto. */
     std::map<std::string, proto::RttEstimator> serverRtt;

@@ -6,53 +6,30 @@ namespace monatt::attestation
 {
 
 CertVerificationCache::CertVerificationCache(std::size_t capacity)
-    : cap(std::max<std::size_t>(capacity, 1))
+    : cache(std::max<std::size_t>(capacity, 1))
 {
 }
 
 const crypto::RsaPublicKey *
 CertVerificationCache::lookup(const Bytes &digest)
 {
-    const auto it = entries.find(digest);
-    if (it == entries.end()) {
-        ++counters.misses;
-        return nullptr;
-    }
-    ++counters.hits;
-    return &it->second;
-}
-
-const crypto::RsaPublicKey *
-CertVerificationCache::peek(const Bytes &digest) const
-{
-    const auto it = entries.find(digest);
-    return it == entries.end() ? nullptr : &it->second;
+    const crypto::RsaPublicKey *avk = cache.find(digest);
+    ++(avk ? counters.hits : counters.misses);
+    return avk;
 }
 
 void
 CertVerificationCache::insert(const Bytes &digest,
                               crypto::RsaPublicKey avk)
 {
-    const auto it = entries.find(digest);
-    if (it != entries.end()) {
-        it->second = std::move(avk);
+    if (crypto::RsaPublicKey *cached = cache.find(digest)) {
+        *cached = std::move(avk);
         return;
     }
-    while (entries.size() >= cap) {
-        entries.erase(order.front());
-        order.pop_front();
-        ++counters.evictions;
-    }
-    entries.emplace(digest, std::move(avk));
-    order.push_back(digest);
+    const bool full = cache.size() >= cache.capacity();
+    cache.insert(digest, std::move(avk));
     ++counters.insertions;
-}
-
-void
-CertVerificationCache::clear()
-{
-    entries.clear();
-    order.clear();
+    counters.evictions += full ? 1 : 0;
 }
 
 } // namespace monatt::attestation

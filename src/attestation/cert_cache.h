@@ -20,10 +20,9 @@
 #define MONATT_ATTESTATION_CERT_CACHE_H
 
 #include <cstdint>
-#include <deque>
-#include <map>
 
 #include "common/bytes.h"
+#include "common/fifo_cache.h"
 #include "crypto/rsa.h"
 
 namespace monatt::attestation
@@ -50,27 +49,26 @@ class CertVerificationCache
      */
     const crypto::RsaPublicKey *lookup(const Bytes &digest);
 
-    /** Like lookup() but without touching the hit/miss counters
-     * (journal checkpointing reads the cache through this). */
-    const crypto::RsaPublicKey *peek(const Bytes &digest) const;
-
-    /** Record a successful verification (evicts oldest when full). */
+    /** Record a successful verification (evicts oldest when full);
+     * a cached digest has its AVK replaced in place. */
     void insert(const Bytes &digest, crypto::RsaPublicKey avk);
 
-    std::size_t size() const { return entries.size(); }
-    std::size_t capacity() const { return cap; }
+    std::size_t size() const { return cache.size(); }
+    std::size_t capacity() const { return cache.capacity(); }
     const CertCacheStats &stats() const { return counters; }
 
-    /** Digests in FIFO insertion order (journal checkpointing). */
-    const std::deque<Bytes> &insertionOrder() const { return order; }
+    /** Digest -> AVK entries in FIFO insertion order (journal
+     * checkpointing). */
+    const FifoCache<Bytes, crypto::RsaPublicKey> &entries() const
+    {
+        return cache;
+    }
 
     /** Drop everything (pCA key rotation). */
-    void clear();
+    void clear() { cache.clear(); }
 
   private:
-    std::size_t cap;
-    std::map<Bytes, crypto::RsaPublicKey> entries;
-    std::deque<Bytes> order; //!< Insertion order for FIFO eviction.
+    FifoCache<Bytes, crypto::RsaPublicKey> cache;
     CertCacheStats counters;
 };
 

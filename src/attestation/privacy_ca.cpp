@@ -37,12 +37,13 @@ PrivacyCa::deriveKeys(const std::string &id, std::uint64_t seed)
 PrivacyCa::PrivacyCa(sim::EventQueue &eq, net::Network &network,
                      net::KeyDirectory &directory, std::string id,
                      proto::TimingModel timingModel, std::uint64_t seed,
+                     sim::DurableConfig durability,
                      std::optional<crypto::RsaKeyPair> presetKeys)
-    : events(eq), self(std::move(id)),
+    : DurableEntity(eq, id, durability), self(std::move(id)),
       keys(presetKeys ? *std::move(presetKeys) : deriveKeys(self, seed)),
       signCtx(keys.priv), dir(directory), timing(timingModel),
       endpoint(network, self, keys, directory, endpointSeed(self, seed)),
-      store(self)
+      issuedCache(durability.dedupCacheCapacity)
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
@@ -64,21 +65,19 @@ PrivacyCa::handleMessage(const net::NodeId &from, const Bytes &plaintext)
     // Idempotent issuance: answer a retransmission with the cached
     // response; swallow duplicates of a request still being processed.
     const CertKey key{from, reqR.value().sessionLabel};
-    const auto cached = issuedCache.find(key);
-    if (cached != issuedCache.end()) {
+    if (const Bytes *cached = issuedCache.find(key)) {
         endpoint.sendSecure(from,
                             proto::packMessage(MessageKind::CertResponse,
-                                               Bytes(cached->second)));
+                                               Bytes(*cached)));
         return;
     }
     if (!inFlight.insert(key).second)
         return;
 
     // Model the per-request processing delay, then certify.
-    events.scheduleAfter(timing.pcaProcessing,
-                         [this, req = reqR.take(), from, eraNow = era] {
-        if (eraNow == era)
-            issue(req, from);
+    events.scheduleAfter(timing.pcaProcessing, fence,
+                         [this, req = reqR.take(), from] {
+        issue(req, from);
     }, "pca.issue");
 }
 
@@ -118,63 +117,72 @@ PrivacyCa::issue(const proto::CertRequest &req, const net::NodeId &from)
     // this node's configured wire format.
     const CertKey key{from, req.sessionLabel};
     inFlight.erase(key);
-    const auto [cacheIt, inserted] = issuedCache.emplace(key, resp.encode());
-    if (inserted) {
-        if (durable && !replaying)
-            store.append(static_cast<std::uint16_t>(JournalType::CertIssued),
-                         encodeIssued(key, cacheIt->second));
-        issuedOrder.push_back(key);
-        while (issuedOrder.size() > issuedCacheCapacity) {
-            issuedCache.erase(issuedOrder.front());
-            issuedOrder.pop_front();
-        }
+    Bytes encoded = resp.encode();
+    if (!issuedCache.contains(key)) {
+        // The counters ride along so replay restores them without a
+        // separate record type (rejected responses mint no serial but
+        // still carry the current counter).
+        ByteWriter w;
+        putCounters(w);
+        putIssued(w, key, encoded);
+        journal(static_cast<std::uint16_t>(JournalType::CertIssued),
+                w.take());
     }
+    issuedCache.insert(key, std::move(encoded));
     endpoint.sendSecure(from, pack(MessageKind::CertResponse, resp));
     commitJournal();
 }
 
 // --- Durability: WAL + recovery ---------------------------------------
 
-Bytes
-PrivacyCa::encodeIssued(const CertKey &key, const Bytes &encoded) const
+void
+PrivacyCa::putCounters(ByteWriter &w) const
 {
-    // The serial counter rides along so replay restores it without a
-    // separate record type (rejected responses mint no serial but
-    // still carry the current counter).
-    ByteWriter w;
     w.putU64(serial);
     w.putU64(rejections);
-    w.putString(key.first);
-    w.putString(key.second);
-    w.putBytes(encoded);
-    return w.take();
+}
+
+bool
+PrivacyCa::applyCounters(ByteReader &r)
+{
+    auto serialNo = r.getU64();
+    auto rejectionCount = r.getU64();
+    if (!serialNo || !rejectionCount)
+        return false;
+    serial = serialNo.value();
+    rejections = rejectionCount.value();
+    return true;
 }
 
 void
-PrivacyCa::commitJournal()
+PrivacyCa::putIssued(ByteWriter &w, const CertKey &key, const Bytes &encoded)
 {
-    if (!durable || replaying)
-        return;
-    if (store.pendingRecords() > 0)
-        store.sync();
-    if (ckptPolicy.shouldCheckpoint(store, events.now())) {
-        store.checkpoint(snapshotState());
-        ckptPolicy.noteCheckpoint();
-    }
+    w.putString(key.first);
+    w.putString(key.second);
+    w.putBytes(encoded);
+}
+
+bool
+PrivacyCa::applyIssued(ByteReader &r)
+{
+    auto from = r.getString();
+    auto label = r.getString();
+    auto encoded = r.getBytes();
+    if (!from || !label || !encoded)
+        return false;
+    issuedCache.insert(CertKey{from.take(), label.take()}, encoded.take());
+    return true;
 }
 
 Bytes
 PrivacyCa::snapshotState() const
 {
     ByteWriter w;
-    w.putU64(serial);
-    w.putU64(rejections);
-    w.putU32(static_cast<std::uint32_t>(issuedOrder.size()));
-    for (const CertKey &key : issuedOrder) {
-        w.putString(key.first);
-        w.putString(key.second);
-        w.putBytes(issuedCache.at(key));
-    }
+    putCounters(w);
+    w.putU32(static_cast<std::uint32_t>(issuedCache.size()));
+    issuedCache.forEach([&w](const CertKey &key, const Bytes &encoded) {
+        putIssued(w, key, encoded);
+    });
     return w.take();
 }
 
@@ -182,28 +190,8 @@ void
 PrivacyCa::applySnapshot(const Bytes &snapshot)
 {
     ByteReader r(snapshot);
-    auto serialNo = r.getU64();
-    auto rejectionCount = r.getU64();
-    auto count = r.getU32();
-    if (!serialNo || !rejectionCount || !count)
-        return;
-    serial = serialNo.value();
-    rejections = rejectionCount.value();
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto from = r.getString();
-        auto label = r.getString();
-        auto encoded = r.getBytes();
-        if (!from || !label || !encoded)
-            return;
-        const CertKey key{from.value(), label.value()};
-        if (issuedCache.emplace(key, encoded.take()).second) {
-            issuedOrder.push_back(key);
-            while (issuedOrder.size() > issuedCacheCapacity) {
-                issuedCache.erase(issuedOrder.front());
-                issuedOrder.pop_front();
-            }
-        }
-    }
+    if (applyCounters(r))
+        applyEach(r, [this](ByteReader &e) { return applyIssued(e); });
 }
 
 void
@@ -212,53 +200,8 @@ PrivacyCa::applyJournalRecord(const sim::JournalRecord &rec)
     if (static_cast<JournalType>(rec.type) != JournalType::CertIssued)
         return;
     ByteReader r(rec.payload);
-    auto serialNo = r.getU64();
-    auto rejectionCount = r.getU64();
-    auto from = r.getString();
-    auto label = r.getString();
-    auto encoded = r.getBytes();
-    if (!serialNo || !rejectionCount || !from || !label || !encoded)
-        return;
-    serial = serialNo.value();
-    rejections = rejectionCount.value();
-    const CertKey key{from.take(), label.take()};
-    if (issuedCache.emplace(key, encoded.take()).second) {
-        issuedOrder.push_back(key);
-        while (issuedOrder.size() > issuedCacheCapacity) {
-            issuedCache.erase(issuedOrder.front());
-            issuedOrder.pop_front();
-        }
-    }
-}
-
-void
-PrivacyCa::recover()
-{
-    replaying = true;
-    auto image = store.replay();
-    if (!image.clean) {
-        // Healed replay: issuances in the dropped suffix are gone
-        // from the dedup cache, so their retransmissions mint fresh
-        // certificates instead of being answered from cache.
-        ++corruptRecoveries_;
-        MONATT_LOG(Info, "pca")
-            << self << ": replay quarantined "
-            << image.quarantinedRecords << " and truncated "
-            << image.truncatedRecords << " corrupt journal records"
-            << (image.snapshotQuarantined ? " (snapshot seal failed)"
-                                          : "");
-    }
-    if (image.hasSnapshot)
-        applySnapshot(image.snapshot);
-    for (const sim::JournalRecord &rec : image.records)
-        applyJournalRecord(rec);
-    replaying = false;
-    // Recovery doubles as a checkpoint.
-    store.checkpoint(snapshotState());
-    ckptPolicy.noteCheckpoint();
-    MONATT_LOG(Info, "pca")
-        << self << ": recovered serial " << serial << ", "
-        << issuedCache.size() << " cached responses";
+    if (applyCounters(r))
+        applyIssued(r);
 }
 
 void
@@ -267,11 +210,10 @@ PrivacyCa::crash()
     if (!endpoint.attached())
         return;
     MONATT_LOG(Info, "pca") << self << ": crash";
-    ++era;
+    fence.bump();
     endpoint.detach();
     inFlight.clear();
     issuedCache.clear();
-    issuedOrder.clear();
     serial = 0;
     rejections = 0;
     // The un-fsynced journal tail is the page cache: lost.
@@ -285,7 +227,7 @@ PrivacyCa::restart()
         return;
     MONATT_LOG(Info, "pca") << self << ": restart";
     endpoint.attach();
-    if (durable)
+    if (durable())
         recover();
 }
 

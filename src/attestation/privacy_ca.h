@@ -19,26 +19,28 @@
 #define MONATT_ATTESTATION_PRIVACY_CA_H
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
+#include "common/fifo_cache.h"
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
 #include "proto/timing_model.h"
-#include "sim/checkpoint_policy.h"
-#include "sim/event_queue.h"
-#include "sim/stable_store.h"
+#include "sim/durable_entity.h"
 
 namespace monatt::attestation
 {
 
-/** The pCA entity. */
-class PrivacyCa
+/**
+ * The pCA entity. Durable issuance state (sim::DurableEntity): issued
+ * certificates are journaled so a restarted pCA answers
+ * retransmissions idempotently and never reuses a serial number.
+ */
+class PrivacyCa : public sim::DurableEntity
 {
   public:
     /**
@@ -48,6 +50,7 @@ class PrivacyCa
     PrivacyCa(sim::EventQueue &eq, net::Network &network,
               net::KeyDirectory &directory, std::string id,
               proto::TimingModel timing, std::uint64_t seed,
+              sim::DurableConfig durability = {},
               std::optional<crypto::RsaKeyPair> presetKeys = {});
 
     /** Deterministic identity-key derivation (see presetKeys). */
@@ -79,33 +82,6 @@ class PrivacyCa
     /** True while attached to the network. */
     bool isUp() const { return endpoint.attached(); }
 
-    /** Durable issuance state: journal issued certificates so a
-     * restarted pCA answers retransmissions idempotently and never
-     * reuses a serial number. On by default. */
-    void setDurable(bool on) { durable = on; }
-
-    /** Issued-certificate dedup cache bound (FIFO eviction). */
-    void setIssuedCacheCapacity(std::size_t capacity)
-    {
-        issuedCacheCapacity = capacity;
-    }
-
-    /** Journal-compaction triggers (count / size / age). */
-    void setCheckpointPolicy(sim::CheckpointPolicyConfig config)
-    {
-        ckptPolicy = sim::CheckpointPolicy(config);
-    }
-
-    /** Install the disk-failure model on the store (nullptr = clean
-     * disk). Wired by core::Cloud when a fault plan is installed. */
-    void setStorageFaults(const sim::StorageFaultModel *model)
-    {
-        store.setFaultModel(model);
-    }
-
-    /** Recoveries that had to heal a torn/rotted durable image. */
-    std::uint64_t corruptRecoveries() const { return corruptRecoveries_; }
-
     /** Dedup-cache introspection (bounds/eviction tests). */
     std::size_t issuedCacheSize() const { return issuedCache.size(); }
 
@@ -113,14 +89,12 @@ class PrivacyCa
     std::vector<std::string> issuedCacheLabels() const
     {
         std::vector<std::string> labels;
-        labels.reserve(issuedOrder.size());
-        for (const CertKey &key : issuedOrder)
+        labels.reserve(issuedCache.size());
+        issuedCache.forEach([&labels](const CertKey &key, const Bytes &) {
             labels.push_back(key.second);
+        });
         return labels;
     }
-
-    /** The pCA's durable store (journal + checkpoints). */
-    const sim::StableStore &stableStore() const { return store; }
 
     /** Wire codec this node emits (DESIGN.md §17); received frames
      * always decode by their own self-described format. */
@@ -143,7 +117,6 @@ class PrivacyCa
     /** Format of the frame currently being dispatched. */
     proto::WireFormat rxFormat_ = proto::WireFormat::Legacy;
 
-    sim::EventQueue &events;
     std::string self;
     crypto::RsaKeyPair keys;
     /** Compiled signing key for certificate issuance. */
@@ -162,34 +135,28 @@ class PrivacyCa
      * first copy is still inside the processing delay.
      */
     using CertKey = std::pair<net::NodeId, std::string>;
-    std::map<CertKey, Bytes> issuedCache;
-    std::deque<CertKey> issuedOrder;
+    FifoCache<CertKey, Bytes> issuedCache;
     std::set<CertKey> inFlight;
-    std::size_t issuedCacheCapacity = 128;
 
     // --- Durability (write-ahead journal) ------------------------------
 
     /** Journal record types (StableStore payload tags). */
     enum class JournalType : std::uint16_t
     {
-        CertIssued = 1, //!< serial counter + requester + label + resp.
+        CertIssued = 1, //!< counters + one issued entry.
     };
 
-    Bytes encodeIssued(const CertKey &key, const Bytes &encoded) const;
-    /** fsync + checkpoint policy; end of every mutating event. */
-    void commitJournal();
-    Bytes snapshotState() const;
-    void applySnapshot(const Bytes &snapshot);
-    void applyJournalRecord(const sim::JournalRecord &rec);
-    void recover();
+    /** Encoders and appliers, one per layout; the CertIssued record
+     * and the snapshot are built from the same two. */
+    void putCounters(ByteWriter &w) const;
+    bool applyCounters(ByteReader &r);
+    static void putIssued(ByteWriter &w, const CertKey &key,
+                          const Bytes &encoded);
+    bool applyIssued(ByteReader &r);
 
-    sim::StableStore store;
-    sim::CheckpointPolicy ckptPolicy;
-    bool durable = true;
-    bool replaying = false;  //!< recover() in progress: journal muted.
-    std::uint64_t corruptRecoveries_ = 0;
-    /** Crash epoch; stale pre-crash callbacks bail (see controller). */
-    std::uint64_t era = 0;
+    Bytes snapshotState() const override;
+    void applySnapshot(const Bytes &snapshot) override;
+    void applyJournalRecord(const sim::JournalRecord &rec) override;
 };
 
 } // namespace monatt::attestation

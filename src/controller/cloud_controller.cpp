@@ -63,14 +63,15 @@ CloudController::CloudController(sim::EventQueue &eq,
                                  net::KeyDirectory &directory,
                                  CloudControllerConfig config,
                                  std::uint64_t seed)
-    : events(eq), cfg(std::move(config)),
+    : DurableEntity(eq, config.id, config.durability),
+      cfg(std::move(config)),
       keys(cfg.presetIdentityKeys
                ? *std::move(cfg.presetIdentityKeys)
                : deriveIdentityKeys(cfg.id, seed, cfg.identityKeyBits)),
       signCtx(keys.priv), dir(directory),
       endpoint(network, cfg.id, keys, directory,
                endpointSeed(cfg.id, seed)),
-      rng(seed ^ 0xcc), store(cfg.id), ckptPolicy(cfg.checkpointPolicy),
+      rng(seed ^ 0xcc), relayCache(cfg.durability.dedupCacheCapacity),
       election(cfg.id,
                cfg.groupIds.empty() ? std::vector<std::string>{cfg.id}
                                     : cfg.groupIds,
@@ -95,6 +96,15 @@ CloudController::CloudController(sim::EventQueue &eq,
         else
             armElectionTimer();
     }
+}
+
+ControllerStats
+CloudController::stats() const
+{
+    ControllerStats s = counters;
+    s.recoveries = recoveries();
+    s.corruptRecoveries = corruptRecoveries();
+    return s;
 }
 
 void
@@ -313,9 +323,7 @@ CloudController::runSchedulingStage(const std::string &vid)
         cfg.timing.schedulingPerServer *
             static_cast<SimTime>(db.serverIds().size());
 
-    events.scheduleAfter(cost, [this, vid, eraNow = era] {
-        if (eraNow != era)
-            return;
+    events.scheduleAfter(cost, fence, [this, vid] {
         VmRecord *rec = db.vm(vid);
         auto launchIt = launches.find(vid);
         if (!rec || launchIt == launches.end())
@@ -341,10 +349,7 @@ CloudController::runSchedulingStage(const std::string &vid)
         journalVm(vid);
         journalServer(rec->serverId);
         commitJournal();
-        events.scheduleAfter(cfg.timing.networking,
-                             [this, vid, eraNow] {
-            if (eraNow != era)
-                return;
+        events.scheduleAfter(cfg.timing.networking, fence, [this, vid] {
             VmRecord *rec = db.vm(vid);
             if (!rec)
                 return;
@@ -352,12 +357,8 @@ CloudController::runSchedulingStage(const std::string &vid)
             rec->launchTimer.beginStage("mapping", events.now());
             journalVm(vid);
             commitJournal();
-            events.scheduleAfter(cfg.timing.mappingTime(rec->diskGb),
-                                 [this, vid, eraNow] {
-                                     if (eraNow != era)
-                                         return;
-                                     startSpawn(vid);
-                                 });
+            events.scheduleAfter(cfg.timing.mappingTime(rec->diskGb), fence,
+                                 [this, vid] { startSpawn(vid); });
         });
     }, "cc.scheduling");
 }
@@ -504,10 +505,8 @@ CloudController::scheduleForwardRetry(std::uint64_t attestId)
                                             est);
     const SimTime delay = cfg.reliability.backoff(rto, ctx.retries);
     ctx.retryTimer = events.scheduleAfter(
-        delay,
-        [this, attestId, eraNow = era] {
-            if (eraNow != era)
-                return;
+        delay, fence,
+        [this, attestId] {
             forwardRetryFired(attestId);
             commitJournal();
         },
@@ -657,15 +656,12 @@ void
 CloudController::rememberRelay(const CustomerKey &key, Bytes packed)
 {
     customerInFlight.erase(key);
-    const auto [it, inserted] = relayCache.emplace(key, std::move(packed));
-    if (inserted) {
-        journalRelay(key, it->second);
-        relayOrder.push_back(key);
-        while (relayOrder.size() > cfg.relayCacheCapacity) {
-            relayCache.erase(relayOrder.front());
-            relayOrder.pop_front();
-        }
-    }
+    if (relayCache.contains(key))
+        return;
+    ByteWriter w;
+    putRelay(w, key, packed);
+    journalAppend(JournalType::RelayRemember, w.take());
+    relayCache.insert(key, std::move(packed));
 }
 
 void
@@ -685,10 +681,9 @@ CloudController::onAttestRequest(const net::NodeId &from,
         ++counters.duplicateAttestRequests;
         return;
     }
-    const auto cached = relayCache.find(key);
-    if (cached != relayCache.end()) {
+    if (const Bytes *cached = relayCache.find(key)) {
         ++counters.duplicateAttestRequests;
-        sendExternal(from, Bytes(cached->second));
+        sendExternal(from, Bytes(*cached));
         return;
     }
 
@@ -708,9 +703,7 @@ CloudController::onAttestRequest(const net::NodeId &from,
     if (req.mode != AttestMode::StopPeriodic)
         customerInFlight.insert(key);
     events.scheduleAfter(serviceDelay(cfg.timing.controllerProcessing),
-                         [this, req, from, key, eraNow = era] {
-        if (eraNow != era)
-            return;
+                         fence, [this, req, from, key] {
         const VmRecord *rec = db.vm(req.vid);
         if (!rec) {
             customerInFlight.erase(key);
@@ -800,9 +793,7 @@ CloudController::onReportToController(const net::NodeId &from,
     }
 
     events.scheduleAfter(serviceDelay(cfg.timing.controllerProcessing),
-                         [this, ctx, msg, eraNow = era] {
-        if (eraNow != era)
-            return;
+                         fence, [this, ctx, msg] {
         if (ctx.kind == AttestKind::StartupLaunch)
             handleStartupReport(ctx, msg);
         else if (ctx.kind == AttestKind::SuspendRecheck)
@@ -1178,10 +1169,8 @@ CloudController::scheduleSuspendRecheck(const std::string &vid,
 {
     if (cfg.suspendRecheckPeriod <= 0)
         return;
-    events.scheduleAfter(cfg.suspendRecheckPeriod,
-                         [this, vid, logIndex, eraNow = era] {
-        if (eraNow != era)
-            return;
+    events.scheduleAfter(cfg.suspendRecheckPeriod, fence,
+                         [this, vid, logIndex] {
         VmRecord *rec = db.vm(vid);
         if (!rec || rec->status != VmStatus::Suspended ||
             logIndex >= responses.size())
@@ -1419,96 +1408,222 @@ CloudController::decodeResponseRecord(const Bytes &data,
     return true;
 }
 
+// --- Durability: per-kind encoders and appliers ------------------------
+
+void
+CloudController::putMeta(ByteWriter &w) const
+{
+    w.putU64(nextVmNumber);
+    w.putU64(nextAttestId);
+}
+
+bool
+CloudController::applyMeta(ByteReader &r)
+{
+    auto vmNumber = r.getU64();
+    auto attestNumber = r.getU64();
+    if (!vmNumber || !attestNumber)
+        return false;
+    nextVmNumber = vmNumber.value();
+    nextAttestId = attestNumber.value();
+    return true;
+}
+
+bool
+CloudController::applyVm(const Bytes &blob)
+{
+    auto rec = decodeVmRecord(blob);
+    if (rec)
+        db.addVm(rec.take());
+    return true;
+}
+
+bool
+CloudController::applyServer(const Bytes &blob)
+{
+    auto rec = decodeServerRecord(blob);
+    if (rec)
+        db.addServer(rec.take());
+    return true;
+}
+
+void
+CloudController::putPolicy(ByteWriter &w, const std::string &vid,
+                           ResponsePolicy policy)
+{
+    w.putString(vid);
+    w.putU8(static_cast<std::uint8_t>(policy));
+}
+
+bool
+CloudController::applyPolicy(ByteReader &r)
+{
+    auto vid = r.getString();
+    auto policy = r.getU8();
+    if (!vid || !policy)
+        return false;
+    policies[vid.value()] = static_cast<ResponsePolicy>(policy.value());
+    return true;
+}
+
+bool
+CloudController::applyLaunch(const Bytes &blob)
+{
+    std::string vid;
+    PendingLaunch launch;
+    if (decodePendingLaunch(blob, vid, launch))
+        launches[vid] = std::move(launch);
+    return true;
+}
+
+void
+CloudController::putAttest(ByteWriter &w, std::uint64_t attestId,
+                           const AttestContext &ctx) const
+{
+    w.putU64(attestId);
+    w.putBytes(encodeAttestContext(ctx));
+}
+
+bool
+CloudController::applyAttest(ByteReader &r)
+{
+    auto attestId = r.getU64();
+    auto blob = r.getBytes();
+    if (!attestId || !blob)
+        return false;
+    AttestContext ctx;
+    if (decodeAttestContext(blob.value(), ctx))
+        attests[attestId.value()] = std::move(ctx);
+    return true;
+}
+
+bool
+CloudController::applyResponse(std::size_t index, const Bytes &blob)
+{
+    ResponseRecord decoded;
+    if (!decodeResponseRecord(blob, decoded))
+        return true;
+    if (index >= responses.size())
+        responses.resize(index + 1);
+    responses[index] = std::move(decoded);
+    return true;
+}
+
+void
+CloudController::putAsHealth(ByteWriter &w, const std::string &attestorId,
+                             const AsHealth &health)
+{
+    w.putString(attestorId);
+    w.putI64(health.strikes);
+    w.putU8(health.suspect ? 1 : 0);
+}
+
+bool
+CloudController::applyAsHealth(ByteReader &r)
+{
+    auto id = r.getString();
+    auto strikes = r.getI64();
+    auto suspect = r.getU8();
+    if (!id || !strikes || !suspect)
+        return false;
+    asHealth[id.value()] = AsHealth{static_cast<int>(strikes.value()),
+                                    suspect.value() != 0};
+    return true;
+}
+
+void
+CloudController::putRelay(ByteWriter &w, const CustomerKey &key,
+                          const Bytes &packed)
+{
+    w.putString(key.first);
+    w.putU64(key.second);
+    w.putBytes(packed);
+}
+
+bool
+CloudController::applyRelay(ByteReader &r)
+{
+    auto customer = r.getString();
+    auto requestId = r.getU64();
+    auto packed = r.getBytes();
+    if (!customer || !requestId || !packed)
+        return false;
+    relayCache.insert(CustomerKey{customer.take(), requestId.value()},
+                      packed.take());
+    return true;
+}
+
 // --- Durability: WAL helpers ------------------------------------------
 
 void
 CloudController::journalMeta()
 {
-    if (!cfg.durable || replaying)
-        return;
     ByteWriter w;
-    w.putU64(nextVmNumber);
-    w.putU64(nextAttestId);
+    putMeta(w);
     journalAppend(JournalType::Meta, w.take());
 }
 
 void
 CloudController::journalVm(const std::string &vid)
 {
-    if (!cfg.durable || replaying)
-        return;
-    const VmRecord *rec = db.vm(vid);
-    if (rec) {
+    if (const VmRecord *rec = db.vm(vid)) {
         journalAppend(JournalType::VmUpsert, encodeVmRecord(*rec));
-    } else {
-        ByteWriter w;
-        w.putString(vid);
-        journalAppend(JournalType::VmRemove, w.take());
+        return;
     }
+    ByteWriter w;
+    w.putString(vid);
+    journalAppend(JournalType::VmRemove, w.take());
 }
 
 void
 CloudController::journalServer(const std::string &serverId)
 {
-    if (!cfg.durable || replaying)
-        return;
-    const ServerRecord *rec = db.server(serverId);
-    if (!rec)
-        return;
-    journalAppend(JournalType::ServerUpsert, encodeServerRecord(*rec));
+    if (const ServerRecord *rec = db.server(serverId))
+        journalAppend(JournalType::ServerUpsert, encodeServerRecord(*rec));
 }
 
 void
 CloudController::journalPolicy(const std::string &vid)
 {
-    if (!cfg.durable || replaying)
-        return;
     const auto it = policies.find(vid);
     if (it == policies.end())
         return;
     ByteWriter w;
-    w.putString(vid);
-    w.putU8(static_cast<std::uint8_t>(it->second));
+    putPolicy(w, vid, it->second);
     journalAppend(JournalType::PolicySet, w.take());
 }
 
 void
 CloudController::journalLaunch(const std::string &vid)
 {
-    if (!cfg.durable || replaying)
-        return;
     const auto it = launches.find(vid);
     if (it != launches.end()) {
         journalAppend(JournalType::LaunchUpsert,
                       encodePendingLaunch(vid, it->second));
-    } else {
-        ByteWriter w;
-        w.putString(vid);
-        journalAppend(JournalType::LaunchRemove, w.take());
+        return;
     }
+    ByteWriter w;
+    w.putString(vid);
+    journalAppend(JournalType::LaunchRemove, w.take());
 }
 
 void
 CloudController::journalAttest(std::uint64_t attestId)
 {
-    if (!cfg.durable || replaying)
-        return;
     const auto it = attests.find(attestId);
     ByteWriter w;
-    w.putU64(attestId);
     if (it != attests.end()) {
-        w.putBytes(encodeAttestContext(it->second));
+        putAttest(w, attestId, it->second);
         journalAppend(JournalType::AttestUpsert, w.take());
-    } else {
-        journalAppend(JournalType::AttestRemove, w.take());
+        return;
     }
+    w.putU64(attestId);
+    journalAppend(JournalType::AttestRemove, w.take());
 }
 
 void
 CloudController::journalResponse(std::size_t index)
 {
-    if (!cfg.durable || replaying)
-        return;
     if (index >= responses.size())
         return;
     ByteWriter w;
@@ -1520,28 +1635,11 @@ CloudController::journalResponse(std::size_t index)
 void
 CloudController::journalAsHealth(const std::string &attestorId)
 {
-    if (!cfg.durable || replaying)
-        return;
     const auto it = asHealth.find(attestorId);
-    const int strikes = it == asHealth.end() ? 0 : it->second.strikes;
-    const bool suspect = it != asHealth.end() && it->second.suspect;
     ByteWriter w;
-    w.putString(attestorId);
-    w.putI64(strikes);
-    w.putU8(suspect ? 1 : 0);
+    putAsHealth(w, attestorId,
+                it == asHealth.end() ? AsHealth{} : it->second);
     journalAppend(JournalType::AsHealthSet, w.take());
-}
-
-void
-CloudController::journalRelay(const CustomerKey &key, const Bytes &packed)
-{
-    if (!cfg.durable || replaying)
-        return;
-    ByteWriter w;
-    w.putString(key.first);
-    w.putU64(key.second);
-    w.putBytes(packed);
-    journalAppend(JournalType::RelayRemember, w.take());
 }
 
 void
@@ -1558,12 +1656,10 @@ CloudController::commitJournal()
         stagedSends.clear();
         return;
     }
-    if (!cfg.durable)
+    if (!durable())
         return;
-    if (store.pendingRecords() > 0) {
-        store.sync();
+    if (syncJournal())
         mirrorRound = election.round();
-    }
     // Everything staged by this handler is gated on the journal
     // records it just made durable: release only once that LSN is
     // majority-replicated. Unreplicated groups commit immediately.
@@ -1576,10 +1672,7 @@ CloudController::commitJournal()
     // records; a checkpoint here would force a snapshot install.
     if (replicated())
         replicateToFollowers();
-    if (ckptPolicy.shouldCheckpoint(store, events.now())) {
-        store.checkpoint(snapshotState());
-        ckptPolicy.noteCheckpoint();
-    }
+    checkpointIfDue();
     if (replicated())
         advanceCommit();
 }
@@ -1590,8 +1683,7 @@ Bytes
 CloudController::snapshotState() const
 {
     ByteWriter w;
-    w.putU64(nextVmNumber);
-    w.putU64(nextAttestId);
+    putMeta(w);
 
     const auto vmIds = db.vmIds();
     w.putU32(static_cast<std::uint32_t>(vmIds.size()));
@@ -1604,144 +1696,57 @@ CloudController::snapshotState() const
         w.putBytes(encodeServerRecord(*db.server(id)));
 
     w.putU32(static_cast<std::uint32_t>(policies.size()));
-    for (const auto &[vid, policy] : policies) {
-        w.putString(vid);
-        w.putU8(static_cast<std::uint8_t>(policy));
-    }
+    for (const auto &[vid, policy] : policies)
+        putPolicy(w, vid, policy);
 
     w.putU32(static_cast<std::uint32_t>(launches.size()));
     for (const auto &[vid, launch] : launches)
         w.putBytes(encodePendingLaunch(vid, launch));
 
     w.putU32(static_cast<std::uint32_t>(attests.size()));
-    for (const auto &[attestId, ctx] : attests) {
-        w.putU64(attestId);
-        w.putBytes(encodeAttestContext(ctx));
-    }
+    for (const auto &[attestId, ctx] : attests)
+        putAttest(w, attestId, ctx);
 
     w.putU32(static_cast<std::uint32_t>(responses.size()));
     for (const ResponseRecord &rec : responses)
         w.putBytes(encodeResponseRecord(rec));
 
     w.putU32(static_cast<std::uint32_t>(asHealth.size()));
-    for (const auto &[id, health] : asHealth) {
-        w.putString(id);
-        w.putI64(health.strikes);
-        w.putU8(health.suspect ? 1 : 0);
-    }
+    for (const auto &[id, health] : asHealth)
+        putAsHealth(w, id, health);
 
     // Relay cache in FIFO order so replay reproduces eviction order.
-    w.putU32(static_cast<std::uint32_t>(relayOrder.size()));
-    for (const CustomerKey &key : relayOrder) {
-        w.putString(key.first);
-        w.putU64(key.second);
-        w.putBytes(relayCache.at(key));
-    }
+    w.putU32(static_cast<std::uint32_t>(relayCache.size()));
+    relayCache.forEach([&w](const CustomerKey &key, const Bytes &packed) {
+        putRelay(w, key, packed);
+    });
     return w.take();
 }
 
 void
 CloudController::applySnapshot(const Bytes &snapshot)
 {
+    // Blob kinds are length-prefixed in the snapshot.
+    const auto blob = [](auto apply) {
+        return [apply](ByteReader &r) {
+            auto bytes = r.getBytes();
+            return bytes && apply(bytes.value());
+        };
+    };
     ByteReader r(snapshot);
-    auto vmNumber = r.getU64();
-    auto attestNumber = r.getU64();
-    if (!vmNumber || !attestNumber)
-        return;
-    nextVmNumber = vmNumber.value();
-    nextAttestId = attestNumber.value();
-
-    auto vmCount = r.getU32();
-    for (std::uint32_t i = 0; vmCount && i < vmCount.value(); ++i) {
-        auto blob = r.getBytes();
-        if (!blob)
-            return;
-        auto rec = decodeVmRecord(blob.value());
-        if (rec)
-            db.addVm(rec.take());
-    }
-
-    auto serverCount = r.getU32();
-    for (std::uint32_t i = 0; serverCount && i < serverCount.value();
-         ++i) {
-        auto blob = r.getBytes();
-        if (!blob)
-            return;
-        auto rec = decodeServerRecord(blob.value());
-        if (rec)
-            db.addServer(rec.take());
-    }
-
-    auto policyCount = r.getU32();
-    for (std::uint32_t i = 0; policyCount && i < policyCount.value();
-         ++i) {
-        auto vid = r.getString();
-        auto policy = r.getU8();
-        if (!vid || !policy)
-            return;
-        policies[vid.value()] =
-            static_cast<ResponsePolicy>(policy.value());
-    }
-
-    auto launchCount = r.getU32();
-    for (std::uint32_t i = 0; launchCount && i < launchCount.value();
-         ++i) {
-        auto blob = r.getBytes();
-        if (!blob)
-            return;
-        std::string vid;
-        PendingLaunch launch;
-        if (decodePendingLaunch(blob.value(), vid, launch))
-            launches[vid] = std::move(launch);
-    }
-
-    auto attestCount = r.getU32();
-    for (std::uint32_t i = 0; attestCount && i < attestCount.value();
-         ++i) {
-        auto attestId = r.getU64();
-        auto blob = r.getBytes();
-        if (!attestId || !blob)
-            return;
-        AttestContext ctx;
-        if (decodeAttestContext(blob.value(), ctx))
-            attests[attestId.value()] = std::move(ctx);
-    }
-
-    auto responseCount = r.getU32();
-    for (std::uint32_t i = 0; responseCount && i < responseCount.value();
-         ++i) {
-        auto blob = r.getBytes();
-        if (!blob)
-            return;
-        ResponseRecord rec;
-        if (decodeResponseRecord(blob.value(), rec))
-            responses.push_back(std::move(rec));
-    }
-
-    auto healthCount = r.getU32();
-    for (std::uint32_t i = 0; healthCount && i < healthCount.value();
-         ++i) {
-        auto id = r.getString();
-        auto strikes = r.getI64();
-        auto suspect = r.getU8();
-        if (!id || !strikes || !suspect)
-            return;
-        asHealth[id.value()] =
-            AsHealth{static_cast<int>(strikes.value()),
-                     suspect.value() != 0};
-    }
-
-    auto relayCount = r.getU32();
-    for (std::uint32_t i = 0; relayCount && i < relayCount.value(); ++i) {
-        auto customer = r.getString();
-        auto requestId = r.getU64();
-        auto packed = r.getBytes();
-        if (!customer || !requestId || !packed)
-            return;
-        const CustomerKey key{customer.value(), requestId.value()};
-        if (relayCache.emplace(key, packed.take()).second)
-            relayOrder.push_back(key);
-    }
+    applyMeta(r) &&
+        applyEach(r, blob([this](const Bytes &b) { return applyVm(b); })) &&
+        applyEach(r,
+                  blob([this](const Bytes &b) { return applyServer(b); })) &&
+        applyEach(r, [this](ByteReader &e) { return applyPolicy(e); }) &&
+        applyEach(r,
+                  blob([this](const Bytes &b) { return applyLaunch(b); })) &&
+        applyEach(r, [this](ByteReader &e) { return applyAttest(e); }) &&
+        applyEach(r, blob([this](const Bytes &b) {
+                      return applyResponse(responses.size(), b);
+                  })) &&
+        applyEach(r, [this](ByteReader &e) { return applyAsHealth(e); }) &&
+        applyEach(r, [this](ByteReader &e) { return applyRelay(e); });
 }
 
 void
@@ -1749,120 +1754,58 @@ CloudController::applyJournalRecord(const sim::JournalRecord &rec)
 {
     ByteReader r(rec.payload);
     switch (static_cast<JournalType>(rec.type)) {
-      case JournalType::Meta: {
-        auto vmNumber = r.getU64();
-        auto attestNumber = r.getU64();
-        if (vmNumber && attestNumber) {
-            nextVmNumber = vmNumber.value();
-            nextAttestId = attestNumber.value();
-        }
+      case JournalType::Meta:
+        applyMeta(r);
         break;
-      }
-      case JournalType::VmUpsert: {
-        auto decoded = decodeVmRecord(rec.payload);
-        if (decoded)
-            db.addVm(decoded.take());
+      case JournalType::VmUpsert:
+        applyVm(rec.payload);
         break;
-      }
-      case JournalType::VmRemove: {
-        auto vid = r.getString();
-        if (vid)
+      case JournalType::VmRemove:
+        if (auto vid = r.getString())
             db.removeVm(vid.value());
         break;
-      }
-      case JournalType::ServerUpsert: {
-        auto decoded = decodeServerRecord(rec.payload);
-        if (decoded)
-            db.addServer(decoded.take());
+      case JournalType::ServerUpsert:
+        applyServer(rec.payload);
         break;
-      }
-      case JournalType::PolicySet: {
-        auto vid = r.getString();
-        auto policy = r.getU8();
-        if (vid && policy)
-            policies[vid.value()] =
-                static_cast<ResponsePolicy>(policy.value());
+      case JournalType::PolicySet:
+        applyPolicy(r);
         break;
-      }
-      case JournalType::LaunchUpsert: {
-        std::string vid;
-        PendingLaunch launch;
-        if (decodePendingLaunch(rec.payload, vid, launch))
-            launches[vid] = std::move(launch);
+      case JournalType::LaunchUpsert:
+        applyLaunch(rec.payload);
         break;
-      }
-      case JournalType::LaunchRemove: {
-        auto vid = r.getString();
-        if (vid)
+      case JournalType::LaunchRemove:
+        if (auto vid = r.getString())
             launches.erase(vid.value());
         break;
-      }
-      case JournalType::AttestUpsert: {
-        auto attestId = r.getU64();
-        auto blob = r.getBytes();
-        if (!attestId || !blob)
-            break;
-        AttestContext ctx;
-        if (decodeAttestContext(blob.value(), ctx))
-            attests[attestId.value()] = std::move(ctx);
+      case JournalType::AttestUpsert:
+        applyAttest(r);
         break;
-      }
-      case JournalType::AttestRemove: {
-        auto attestId = r.getU64();
-        if (attestId)
+      case JournalType::AttestRemove:
+        if (auto attestId = r.getU64())
             attests.erase(attestId.value());
         break;
-      }
       case JournalType::ResponseUpsert: {
         auto index = r.getU64();
         auto blob = r.getBytes();
-        ResponseRecord decoded;
-        if (!index || !blob || !decodeResponseRecord(blob.value(), decoded))
-            break;
-        if (index.value() >= responses.size())
-            responses.resize(index.value() + 1);
-        responses[index.value()] = std::move(decoded);
+        if (index && blob)
+            applyResponse(index.value(), blob.value());
         break;
       }
-      case JournalType::AsHealthSet: {
-        auto id = r.getString();
-        auto strikes = r.getI64();
-        auto suspect = r.getU8();
-        if (id && strikes && suspect)
-            asHealth[id.value()] =
-                AsHealth{static_cast<int>(strikes.value()),
-                         suspect.value() != 0};
+      case JournalType::AsHealthSet:
+        applyAsHealth(r);
         break;
-      }
-      case JournalType::RelayRemember: {
-        auto customer = r.getString();
-        auto requestId = r.getU64();
-        auto packed = r.getBytes();
-        if (!customer || !requestId || !packed)
-            break;
-        const CustomerKey key{customer.take(), requestId.value()};
-        if (relayCache.emplace(key, packed.take()).second) {
-            relayOrder.push_back(key);
-            while (relayOrder.size() > cfg.relayCacheCapacity) {
-                relayCache.erase(relayOrder.front());
-                relayOrder.pop_front();
-            }
-        }
+      case JournalType::RelayRemember:
+        applyRelay(r);
         break;
-      }
     }
 }
 
 // --- Durability: crash / restart / recovery ---------------------------
 
 void
-CloudController::crash()
+CloudController::dropLiveState()
 {
-    if (!endpoint.attached())
-        return;
-    MONATT_LOG(Info, "cc") << cfg.id << ": crash";
-    ++era;
-    endpoint.detach();
+    fence.bump();
     for (auto &[attestId, ctx] : attests) {
         if (ctx.retryTimer != 0)
             events.cancel(ctx.retryTimer);
@@ -1875,20 +1818,6 @@ CloudController::crash()
         events.cancel(electionTimer);
         electionTimer = 0;
     }
-    stagedSends.clear();
-    outputGate.clear();
-    commitLsn_ = 0;
-    lastStreamedLsn = 0;
-    followerSilence.clear();
-    lastLeaderContact = 0;
-    if (replicated())
-        election.resetToFollower();
-    // The un-fsynced journal tail is the page cache: lost.
-    store.crash();
-    // Volatile and recoverable in-memory state dies. Operator
-    // provisioning (flavors, clusters, server inventory rows) survives
-    // like files on disk; allocation counters are restored from the
-    // journal during recovery.
     for (const std::string &vid : db.vmIds())
         db.removeVm(vid);
     launches.clear();
@@ -1899,11 +1828,32 @@ CloudController::crash()
     asHealth.clear();
     customerInFlight.clear();
     relayCache.clear();
-    relayOrder.clear();
     attestorRtt.clear();
     nextVmNumber = 1;
     nextAttestId = 1;
     busyUntil = 0;
+    stagedSends.clear();
+    outputGate.clear();
+    commitLsn_ = 0;
+    lastStreamedLsn = 0;
+    followerSilence.clear();
+}
+
+void
+CloudController::crash()
+{
+    if (!endpoint.attached())
+        return;
+    MONATT_LOG(Info, "cc") << cfg.id << ": crash";
+    endpoint.detach();
+    // Volatile and recoverable in-memory state dies; allocation
+    // counters are restored from the journal during recovery.
+    dropLiveState();
+    lastLeaderContact = 0;
+    if (replicated())
+        election.resetToFollower();
+    // The un-fsynced journal tail is the page cache: lost.
+    store.crash();
 }
 
 void
@@ -1920,10 +1870,10 @@ CloudController::restart()
         // horizon and the leader re-streams the damaged range through
         // the normal replication path (snapshot install if the
         // mirror's own snapshot seal failed).
-        if (cfg.durable) {
+        if (durable()) {
             const auto healed = store.verifyDurable();
             if (!healed.clean()) {
-                ++counters.corruptRecoveries;
+                noteCorruptRecovery();
                 MONATT_LOG(Info, "cc")
                     << cfg.id << ": mirror verification quarantined "
                     << healed.quarantinedRecords << " and truncated "
@@ -1940,45 +1890,8 @@ CloudController::restart()
         armElectionTimer();
         return;
     }
-    if (cfg.durable)
+    if (durable())
         recover();
-}
-
-void
-CloudController::recover()
-{
-    ++counters.recoveries;
-    replaying = true;
-    auto image = store.replay();
-    if (!image.clean) {
-        // The disk came back damaged: replay healed it down to the
-        // longest verified prefix. Whatever acknowledged state sat in
-        // the dropped suffix is re-driven by customer retransmission
-        // and the re-arm paths below, never silently replayed.
-        ++counters.corruptRecoveries;
-        MONATT_LOG(Info, "cc")
-            << cfg.id << ": replay quarantined "
-            << image.quarantinedRecords << " and truncated "
-            << image.truncatedRecords << " corrupt journal records"
-            << (image.snapshotQuarantined ? " (snapshot seal failed)"
-                                          : "");
-    }
-    if (image.hasSnapshot)
-        applySnapshot(image.snapshot);
-    for (const sim::JournalRecord &rec : image.records)
-        applyJournalRecord(rec);
-    replaying = false;
-
-    rearmRecoveredWork();
-
-    // Recovery doubles as a checkpoint: the recovered (and re-armed)
-    // state becomes the new snapshot and the journal restarts empty.
-    store.checkpoint(snapshotState());
-    ckptPolicy.noteCheckpoint();
-    MONATT_LOG(Info, "cc")
-        << cfg.id << ": recovered " << db.vmIds().size() << " vms, "
-        << attests.size() << " in-flight attestations, "
-        << launches.size() << " pending launches";
 }
 
 void
@@ -2056,9 +1969,7 @@ CloudController::rearmRecoveredWork()
                 cfg.timing.spawnTime(rec->imageSizeMb, rec->ramMb) +
                 cfg.reliability.forwardRto;
             ++counters.recoveredLaunches;
-            events.scheduleAfter(grace, [this, vid, eraNow = era] {
-                if (eraNow != era)
-                    return;
+            events.scheduleAfter(grace, fence, [this, vid] {
                 VmRecord *rec = db.vm(vid);
                 if (!rec || rec->status != VmStatus::Spawning ||
                     !launches.count(vid))
@@ -2460,43 +2371,10 @@ CloudController::stepDownToFollower()
     MONATT_LOG(Info, "cc")
         << cfg.id << ": stepping down to follower in round "
         << election.round();
-    // Fence every lambda armed during the deposed reign.
-    ++era;
-    if (heartbeatTimer != 0) {
-        events.cancel(heartbeatTimer);
-        heartbeatTimer = 0;
-    }
-    if (electionTimer != 0) {
-        events.cancel(electionTimer);
-        electionTimer = 0;
-    }
-    for (auto &[attestId, ctx] : attests) {
-        if (ctx.retryTimer != 0)
-            events.cancel(ctx.retryTimer);
-    }
-    // Live state belongs to the leader now; this replica keeps only
-    // its journal mirror. Operator provisioning survives, as in
-    // crash().
-    for (const std::string &vid : db.vmIds())
-        db.removeVm(vid);
-    launches.clear();
-    attests.clear();
-    policies.clear();
-    responses.clear();
-    outstandingResponses.clear();
-    asHealth.clear();
-    customerInFlight.clear();
-    relayCache.clear();
-    relayOrder.clear();
-    attestorRtt.clear();
-    nextVmNumber = 1;
-    nextAttestId = 1;
-    busyUntil = 0;
-    stagedSends.clear();
-    outputGate.clear();
-    commitLsn_ = 0;
-    lastStreamedLsn = 0;
-    followerSilence.clear();
+    // Fence every lambda armed during the deposed reign; live state
+    // belongs to the leader now, this replica keeps only its journal
+    // mirror.
+    dropLiveState();
     armElectionTimer();
 }
 
@@ -2506,13 +2384,8 @@ CloudController::armHeartbeat()
     if (heartbeatTimer != 0)
         events.cancel(heartbeatTimer);
     heartbeatTimer = events.scheduleAfter(
-        cfg.election.heartbeatInterval,
-        [this, eraNow = era] {
-            if (eraNow != era)
-                return;
-            heartbeatFired();
-        },
-        "cc.heartbeat");
+        cfg.election.heartbeatInterval, fence,
+        [this] { heartbeatFired(); }, "cc.heartbeat");
 }
 
 void
@@ -2521,13 +2394,8 @@ CloudController::armElectionTimer()
     if (electionTimer != 0)
         events.cancel(electionTimer);
     electionTimer = events.scheduleAfter(
-        election.electionTimeout(),
-        [this, eraNow = era] {
-            if (eraNow != era)
-                return;
-            electionTimerFired();
-        },
-        "cc.election");
+        election.electionTimeout(), fence,
+        [this] { electionTimerFired(); }, "cc.election");
 }
 
 void

@@ -30,6 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
+#include "common/fifo_cache.h"
 #include "controller/database.h"
 #include "controller/election.h"
 #include "controller/policy.h"
@@ -37,9 +39,7 @@
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
 #include "proto/timing_model.h"
-#include "sim/checkpoint_policy.h"
-#include "sim/event_queue.h"
-#include "sim/stable_store.h"
+#include "sim/durable_entity.h"
 
 namespace monatt::controller
 {
@@ -110,22 +110,9 @@ struct CloudControllerConfig
     /**
      * Durable control plane: journal every database and protocol-state
      * mutation to a write-ahead StableStore and recover from it after
-     * a crash. Journal appends cost zero simulated time and every
-     * recovery action happens only after a crash, so clean-wire runs
-     * are byte-identical with durability on or off.
+     * a crash. The dedup bound caps the customer relay cache.
      */
-    bool durable = true;
-
-    /**
-     * Journal-compaction triggers (count / size / age); all axes 0 =
-     * never checkpoint (journal grows without bound). Evaluated by a
-     * shared sim::CheckpointPolicy at the end of every mutating
-     * event handler.
-     */
-    sim::CheckpointPolicyConfig checkpointPolicy;
-
-    /** Capacity of the customer relay dedup cache (bounded FIFO). */
-    std::size_t relayCacheCapacity = 128;
+    sim::DurableConfig durability;
 
     /**
      * Sharded control plane (set by ControllerFabric). `ring` is the
@@ -147,7 +134,7 @@ struct CloudControllerConfig
      * round-1 leader. `replicaIndex` is this node's position. Empty
      * or size-1 runs the classic unreplicated controller — no
      * replication traffic, no timers, byte-identical behavior.
-     * Replication requires `durable` (the journal is what streams).
+     * Replication requires durability (the journal is what streams).
      */
     std::vector<std::string> groupIds;
     int replicaIndex = 0;
@@ -188,7 +175,7 @@ struct ControllerStats
 };
 
 /** The Cloud Controller entity. */
-class CloudController
+class CloudController : public sim::DurableEntity
 {
   public:
     CloudController(sim::EventQueue &eq, net::Network &network,
@@ -234,7 +221,7 @@ class CloudController
         return responses;
     }
 
-    const ControllerStats &stats() const { return counters; }
+    ControllerStats stats() const;
 
     /**
      * Simulated crash: detach from the network and drop all volatile
@@ -251,16 +238,6 @@ class CloudController
     /** True while attached to the network (false between crash and
      * restart). */
     bool isUp() const { return endpoint.attached(); }
-
-    /** The controller's durable store (journal + checkpoints). */
-    const sim::StableStore &stableStore() const { return store; }
-
-    /** Install the disk-failure model on the store (nullptr = clean
-     * disk). Wired by core::Cloud when a fault plan is installed. */
-    void setStorageFaults(const sim::StorageFaultModel *model)
-    {
-        store.setFaultModel(model);
-    }
 
     /** Replica-group introspection. */
     bool replicated() const { return cfg.groupIds.size() > 1; }
@@ -283,9 +260,10 @@ class CloudController
     std::vector<std::uint64_t> relayCacheRequestIds() const
     {
         std::vector<std::uint64_t> ids;
-        ids.reserve(relayOrder.size());
-        for (const CustomerKey &key : relayOrder)
+        ids.reserve(relayCache.size());
+        relayCache.forEach([&ids](const CustomerKey &key, const Bytes &) {
             ids.push_back(key.second);
+        });
         return ids;
     }
 
@@ -413,9 +391,15 @@ class CloudController
 
     void becomeLeader();
 
-    /** Leader deposed by a higher round: era-fence pending work,
-     *  drop volatile state and gated output, rejoin as follower. */
+    /** Leader deposed by a higher round: fence pending work, drop
+     *  volatile state and gated output, rejoin as follower. */
     void stepDownToFollower();
+
+    /** Shared by crash() and stepDownToFollower(): bump the fence,
+     *  cancel live timers, and drop every piece of live and gated
+     *  state. Operator provisioning (flavors, clusters, server
+     *  inventory rows) survives like files on disk. */
+    void dropLiveState();
 
     void armHeartbeat();
     void armElectionTimer();
@@ -541,7 +525,6 @@ class CloudController
     void retargetPeriodicAttestations(const std::string &vid,
                                       const std::string &oldServer);
 
-    sim::EventQueue &events;
     CloudControllerConfig cfg;
     crypto::RsaKeyPair keys;
     /** Compiled identity key for customer-relay signatures. */
@@ -581,9 +564,7 @@ class CloudController
      */
     using CustomerKey = std::pair<net::NodeId, std::uint64_t>;
     std::set<CustomerKey> customerInFlight;
-    std::map<CustomerKey, Bytes> relayCache;
-    std::deque<CustomerKey> relayOrder; //!< FIFO eviction order; bounded
-                                        //!< by cfg.relayCacheCapacity.
+    FifoCache<CustomerKey, Bytes> relayCache;
 
     /** Cache a customer reply's legacy frame and clear its in-flight
      * mark. */
@@ -620,28 +601,54 @@ class CloudController
     void journalAttest(std::uint64_t attestId);
     void journalResponse(std::size_t index);
     void journalAsHealth(const std::string &attestorId);
-    void journalRelay(const CustomerKey &key, const Bytes &packed);
     /** Append one record whose type word is the JournalType value. */
     void journalAppend(JournalType type, Bytes payload)
     {
-        store.append(static_cast<std::uint16_t>(type), std::move(payload));
+        journal(static_cast<std::uint16_t>(type), std::move(payload));
     }
 
-    /** Fsync barrier + checkpoint policy; called at the end of every
-     * event-handler body so no externally visible state is lost. */
-    void commitJournal();
+    /** Fsync barrier, output gating, replication and checkpoint
+     * policy; called at the end of every event-handler body so no
+     * externally visible state is lost. */
+    void commitJournal() override;
 
-    /** Full-state snapshot for checkpoints. */
-    Bytes snapshotState() const;
-    void applySnapshot(const Bytes &snapshot);
-    void applyJournalRecord(const sim::JournalRecord &rec);
-
-    /** Replay snapshot + journal, then re-arm recovered work. */
-    void recover();
-    void rearmRecoveredWork();
+    Bytes snapshotState() const override;
+    void applySnapshot(const Bytes &snapshot) override;
+    void applyJournalRecord(const sim::JournalRecord &rec) override;
+    void rearmRecoveredWork() override;
 
     /** Re-send the remediation command of an incomplete response. */
     void resendResponseCommand(std::size_t logIndex);
+
+    /**
+     * One encoder and one applier per record kind. A journal record
+     * and the matching snapshot entry share the layout, so the WAL
+     * helpers and snapshotState() write through the encoders and
+     * applyJournalRecord() and applySnapshot() read through the
+     * appliers. VmRecord, ServerRecord, PendingLaunch and
+     * ResponseRecord blobs are whole journal payloads (the response
+     * record prefixed by its log index) and length-prefixed snapshot
+     * entries. Appliers return false only when the layout is cut
+     * short; an undecodable blob is skipped.
+     */
+    void putMeta(ByteWriter &w) const;
+    bool applyMeta(ByteReader &r);
+    bool applyVm(const Bytes &blob);
+    bool applyServer(const Bytes &blob);
+    static void putPolicy(ByteWriter &w, const std::string &vid,
+                          ResponsePolicy policy);
+    bool applyPolicy(ByteReader &r);
+    bool applyLaunch(const Bytes &blob);
+    void putAttest(ByteWriter &w, std::uint64_t attestId,
+                   const AttestContext &ctx) const;
+    bool applyAttest(ByteReader &r);
+    bool applyResponse(std::size_t index, const Bytes &blob);
+    static void putAsHealth(ByteWriter &w, const std::string &attestorId,
+                            const AsHealth &health);
+    bool applyAsHealth(ByteReader &r);
+    static void putRelay(ByteWriter &w, const CustomerKey &key,
+                         const Bytes &packed);
+    bool applyRelay(ByteReader &r);
 
     Bytes encodeAttestContext(const AttestContext &ctx) const;
     bool decodeAttestContext(const Bytes &data, AttestContext &out) const;
@@ -651,14 +658,6 @@ class CloudController
                              PendingLaunch &out) const;
     Bytes encodeResponseRecord(const ResponseRecord &rec) const;
     bool decodeResponseRecord(const Bytes &data, ResponseRecord &out) const;
-
-    sim::StableStore store;
-    sim::CheckpointPolicy ckptPolicy;
-    /** Incremented on every crash; scheduled lambdas capture the era
-     * they were created in and bail when it changed, so pre-crash
-     * callbacks cannot double-act on recovered state. */
-    std::uint64_t era = 0;
-    bool replaying = false; //!< recover() in progress: journal muted.
 
     // --- Replication (replica groups) ------------------------------
 

@@ -48,7 +48,7 @@ ControllerFabric::ControllerFabric(
             cfg.replicaIndex = static_cast<int>(r);
             cfg.election = election;
             if (replicas_ > 1)
-                cfg.durable = true; // the journal is what streams
+                cfg.durability.durable = true; // the journal is what streams
             if (r > 0) {
                 // Preset keys were derived for the base id; secondary
                 // replicas derive their own in the constructor.

@@ -115,13 +115,13 @@ Cloud::Cloud(CloudConfig config)
     sim::WorkerPool::global().parallelFor(
         keygen.size(), [&](std::size_t i) { keygen[i](); });
 
-    // Trusted infrastructure entities.
+    // Trusted infrastructure entities, all with the same durability.
+    const sim::DurableConfig durability{cfg.durableControlPlane,
+                                        cfg.checkpointPolicy,
+                                        cfg.dedupCacheCapacity};
     pca = std::make_unique<attestation::PrivacyCa>(
         eventQueue, fabric, keyDirectory, "privacy-ca", cfg.timing,
-        cfg.seed ^ 0x1, std::move(pcaKeys));
-    pca->setDurable(cfg.durableControlPlane);
-    pca->setIssuedCacheCapacity(cfg.dedupCacheCapacity);
-    pca->setCheckpointPolicy(cfg.checkpointPolicy);
+        cfg.seed ^ 0x1, durability, std::move(pcaKeys));
     pca->setWireContext(cfg.wire);
     keyDirectory.publish("privacy-ca", pca->publicKey());
 
@@ -135,9 +135,7 @@ Cloud::Cloud(CloudConfig config)
                                    controllerNodeIds.end());
         asCfg.identityKeyBits = cfg.identityKeyBits;
         asCfg.enableVerificationCaches = cfg.enableAttestationCaches;
-        asCfg.durable = cfg.durableControlPlane;
-        asCfg.checkpointPolicy = cfg.checkpointPolicy;
-        asCfg.reportCacheCapacity = cfg.dedupCacheCapacity;
+        asCfg.durability = durability;
         asCfg.tcbPolicy.fleetFloor = cfg.minimumTcbVersion;
         asCfg.tcbPolicy.propertyFloors = cfg.tcbPropertyFloors;
         asCfg.wire = cfg.wire;
@@ -159,9 +157,7 @@ Cloud::Cloud(CloudConfig config)
         ccCfg.reliability = cfg.reliability;
         ccCfg.attestorIds = asIds;
         ccCfg.identityKeyBits = cfg.identityKeyBits;
-        ccCfg.durable = cfg.durableControlPlane;
-        ccCfg.checkpointPolicy = cfg.checkpointPolicy;
-        ccCfg.relayCacheCapacity = cfg.dedupCacheCapacity;
+        ccCfg.durability = durability;
         ccCfg.wire = cfg.wire;
         ccCfg.presetIdentityKeys = std::move(ccKeys[k]);
         shardConfigs.push_back(std::move(ccCfg));

@@ -193,11 +193,10 @@ CloudServer::onMeasureRequest(const net::NodeId &from, const Bytes &body)
     // signed response verbatim.
     if (pending.count(id))
         return;
-    const auto cached = responseCache.find(id);
-    if (cached != responseCache.end()) {
+    if (const Bytes *cached = responseCache.find(id)) {
         endpoint.sendSecure(from,
                             packMessage(MessageKind::MeasureResponse,
-                                        Bytes(cached->second)));
+                                        Bytes(*cached)));
         return;
     }
 
@@ -222,7 +221,7 @@ CloudServer::onMeasureRequest(const net::NodeId &from, const Bytes &body)
     pending[id] = std::move(pa);
 
     if (reuseAik) {
-        events.scheduleAfter(cfg.timing.serverProcessing, [this, id] {
+        events.scheduleAfter(cfg.timing.serverProcessing, fence, [this, id] {
             collectMeasurements(id);
         }, "server.attest.prep");
         return;
@@ -232,7 +231,7 @@ CloudServer::onMeasureRequest(const net::NodeId &from, const Bytes &body)
     // dominant local cost) and have it certified by the privacy CA.
     const SimTime prep =
         cfg.timing.serverProcessing + cfg.timing.aikGeneration;
-    events.scheduleAfter(prep, [this, id] { beginAikSession(id); },
+    events.scheduleAfter(prep, fence, [this, id] { beginAikSession(id); },
                          "server.attest.prep");
 }
 
@@ -270,7 +269,7 @@ CloudServer::scheduleCertRetry(std::uint64_t requestId)
     PendingAttestation &pa = pending.at(requestId);
     const SimTime delay = cfg.reliability.backoff(
         cfg.reliability.certRto, pa.certRetries);
-    pa.certTimer = events.scheduleAfter(delay, [this, requestId] {
+    pa.certTimer = events.scheduleAfter(delay, fence, [this, requestId] {
         auto it = pending.find(requestId);
         if (it == pending.end() || it->second.haveCert)
             return;
@@ -308,13 +307,7 @@ CloudServer::cancelCertTimer(PendingAttestation &pa)
 void
 CloudServer::rememberResponse(std::uint64_t requestId, Bytes encoded)
 {
-    if (responseCache.emplace(requestId, std::move(encoded)).second) {
-        responseOrder.push_back(requestId);
-        while (responseOrder.size() > kResponseCacheSize) {
-            responseCache.erase(responseOrder.front());
-            responseOrder.pop_front();
-        }
-    }
+    responseCache.insert(requestId, std::move(encoded));
 }
 
 void
@@ -368,7 +361,9 @@ CloudServer::collectMeasurements(std::uint64_t requestId)
     const bool haveVm = hasVm(pa.request.vid);
     if (haveVm && cfg.intrusivePause > 0) {
         // Intercepting monitor (ablation): freeze the VM while the
-        // collection primitive runs.
+        // collection primitive runs. The resume is hypervisor work, so
+        // it is not fenced: a management-plane crash must not leave
+        // the guest frozen.
         const hypervisor::DomainId dom = domainOf(pa.request.vid);
         hyp.pauseDomain(dom);
         events.scheduleAfter(cfg.intrusivePause, [this, dom] {
@@ -380,11 +375,11 @@ CloudServer::collectMeasurements(std::uint64_t requestId)
         monitor.beginWindow(domainOf(pa.request.vid), events.now());
         const SimTime window = pa.request.window > 0 ? pa.request.window
                                                      : cfg.timing.runtimeWindow;
-        events.scheduleAfter(window, [this, requestId] {
+        events.scheduleAfter(window, fence, [this, requestId] {
             finishMeasurements(requestId);
         }, "server.attest.window");
     } else {
-        events.scheduleAfter(cfg.timing.staticCollection,
+        events.scheduleAfter(cfg.timing.staticCollection, fence,
                              [this, requestId] {
             finishMeasurements(requestId);
         }, "server.attest.static");
@@ -532,6 +527,7 @@ CloudServer::crash()
     if (!endpoint.attached())
         return;
     MONATT_LOG(Info, "server") << cfg.id << ": crash (management plane)";
+    fence.bump();
     endpoint.detach();
     // Volatile attestation state dies with the host software stack.
     // Hosted VMs keep running: the hypervisor sits below the crashing
@@ -548,9 +544,16 @@ CloudServer::crash()
     certToRequest.clear();
     sessionRefs.clear();
     responseCache.clear();
-    responseOrder.clear();
     migrations.clear();
     staleStash.clear();
+    // A spawn or incoming migration cut off by the crash never hosts
+    // its VM: only the VMs actually hosted keep their reservation.
+    allocatedRamMb = 0;
+    allocatedDiskGb = 0;
+    for (const auto &[vid, hosted] : vms) {
+        allocatedRamMb += hosted.ramMb;
+        allocatedDiskGb += hosted.diskGb;
+    }
 }
 
 bool
@@ -623,7 +626,7 @@ CloudServer::onLaunchVm(const net::NodeId &from, const Bytes &body)
 
     // Spawning: stage the image and boot.
     const SimTime spawn = cfg.timing.spawnTime(req.imageSizeMb, req.ramMb);
-    events.scheduleAfter(spawn, [this, req, from] {
+    events.scheduleAfter(spawn, fence, [this, req, from] {
         // Measure the image before launch (phase two of §4.2.2).
         hypervisor::IntegrityMeasurementUnit imu(trust.tpmDevice());
         const Bytes digest = imu.measureVmImage(req.image);
@@ -666,7 +669,7 @@ CloudServer::onTerminateVm(const net::NodeId &from, const Bytes &body)
 
     const HostedVm &hosted = vms[cmd.vid];
     const SimTime cost = cfg.timing.terminateTime(hosted.ramMb);
-    events.scheduleAfter(cost, [this, cmd, from] {
+    events.scheduleAfter(cost, fence, [this, cmd, from] {
         auto it = vms.find(cmd.vid);
         if (it != vms.end()) {
             hyp.destroyDomain(it->second.domain);
@@ -703,7 +706,7 @@ CloudServer::onSuspendVm(const net::NodeId &from, const Bytes &body)
     hyp.pauseDomain(hosted.domain);
     hosted.suspended = true;
     const SimTime cost = cfg.timing.suspendTime(hosted.ramMb);
-    events.scheduleAfter(cost, [this, cmd, from] {
+    events.scheduleAfter(cost, fence, [this, cmd, from] {
         proto::VmCommandAck ack;
         ack.vid = cmd.vid;
         ack.ok = true;
@@ -729,7 +732,7 @@ CloudServer::onResumeVm(const net::NodeId &from, const Bytes &body)
     }
 
     const SimTime cost = cfg.timing.resumeTime(vms[cmd.vid].ramMb);
-    events.scheduleAfter(cost, [this, cmd, from] {
+    events.scheduleAfter(cost, fence, [this, cmd, from] {
         auto it = vms.find(cmd.vid);
         if (it != vms.end() && it->second.suspended) {
             hyp.resumeDomain(it->second.domain);
@@ -813,7 +816,8 @@ CloudServer::onMigrateIn(const net::NodeId &from, const Bytes &body)
     allocatedRamMb += mig.ramMb;
     allocatedDiskGb += mig.diskGb;
 
-    events.scheduleAfter(cfg.timing.migrationResume, [this, mig, from] {
+    events.scheduleAfter(cfg.timing.migrationResume, fence,
+                         [this, mig, from] {
         hypervisor::IntegrityMeasurementUnit imu(trust.tpmDevice());
         imu.measureVmImage(mig.image);
 

@@ -22,7 +22,6 @@
 #define MONATT_SERVER_CLOUD_SERVER_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fifo_cache.h"
 #include "hypervisor/hypervisor.h"
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
@@ -322,6 +322,9 @@ class CloudServer
     void rememberResponse(std::uint64_t requestId, Bytes encoded);
 
     sim::EventQueue &events;
+    /** Bumped by crash(): management-plane callbacks armed before the
+     * crash never run (hypervisor-level ones are not fenced). */
+    sim::CrashFence fence;
     CloudServerConfig cfg;
     tpm::TrustModule trust;
     hypervisor::Hypervisor hyp;
@@ -352,9 +355,8 @@ class CloudServer
      * TPM never re-executes a quote for the same (requestId, nonce3).
      * Bounded FIFO.
      */
-    std::map<std::uint64_t, Bytes> responseCache;
-    std::deque<std::uint64_t> responseOrder;
     static constexpr std::size_t kResponseCacheSize = 64;
+    FifoCache<std::uint64_t, Bytes> responseCache{kResponseCacheSize};
     AikSessionCache aikCache;
     /** In-flight uses per Trust Module session handle. */
     std::map<tpm::SessionHandle, std::size_t> sessionRefs;

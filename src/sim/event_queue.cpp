@@ -29,6 +29,7 @@ EventQueue::releaseSlot(std::uint32_t s)
     Slot &slot = slots[s];
     slot.callback = Callback();
     slot.label = nullptr;
+    slot.fence = nullptr;
     slot.heapPos = kNotInHeap;
     // Bump the generation so every outstanding id for this slot goes
     // stale; a wrap skips 0 so no issued id ever equals the sentinel.
@@ -110,6 +111,17 @@ EventQueue::scheduleAfter(SimTime delay, Callback callback,
     return schedule(currentTime + delay, std::move(callback), label);
 }
 
+EventId
+EventQueue::scheduleAfter(SimTime delay, const CrashFence &fence,
+                          Callback callback, const char *label)
+{
+    const EventId id = scheduleAfter(delay, std::move(callback), label);
+    Slot &slot = slots[static_cast<std::uint32_t>(id)];
+    slot.fence = &fence;
+    slot.era = fence.era();
+    return id;
+}
+
 void
 EventQueue::cancel(EventId id)
 {
@@ -141,10 +153,13 @@ EventQueue::runOne()
     // Move the callback out and retire the slot *before* invoking:
     // a handler cancelling its own (now stale) id must be a no-op,
     // and the handler may reallocate the slot table by scheduling.
-    Callback callback = std::move(slots[top.slot].callback);
+    Slot &slot = slots[top.slot];
+    Callback callback = std::move(slot.callback);
+    const bool live = slot.fence == nullptr || slot.fence->admits(slot.era);
     releaseSlot(top.slot);
     ++executedCount;
-    callback();
+    if (live)
+        callback();
     return true;
 }
 

@@ -23,6 +23,10 @@
  *  - Callbacks are InlineFunction<48>: captures up to 48 bytes (a
  *    `this` pointer plus a few ids — every timer in the codebase)
  *    store inline, so scheduling does not heap-allocate.
+ *  - A callback may be scheduled through a node's CrashFence. The slot
+ *    records the fence and its era, and runOne() drops the callback
+ *    unrun when the fence moved in between, so the crash check costs
+ *    no capture bytes.
  */
 
 #ifndef MONATT_SIM_EVENT_QUEUE_H
@@ -49,6 +53,30 @@ namespace monatt::sim
  */
 using EventId = std::uint64_t;
 
+/**
+ * Crash epoch of one simulated node. bump() on a crash (or when a
+ * replicated leader steps down) turns every callback the node armed
+ * through this fence before the bump into a no-op, so pre-crash work
+ * can never act on the restarted node's state or send from it.
+ */
+class CrashFence
+{
+  public:
+    /** Pending events hold the fence's address: it never moves. */
+    CrashFence() = default;
+    CrashFence(const CrashFence &) = delete;
+    CrashFence &operator=(const CrashFence &) = delete;
+
+    std::uint64_t era() const { return era_; }
+    void bump() { ++era_; }
+
+    /** True when a callback armed in `era` may still run. */
+    bool admits(std::uint64_t era) const { return era == era_; }
+
+  private:
+    std::uint64_t era_ = 0;
+};
+
 /** Deterministic discrete-event queue with a simulated clock. */
 class EventQueue
 {
@@ -73,6 +101,15 @@ class EventQueue
     /** Schedule `callback` after a relative delay. */
     EventId scheduleAfter(SimTime delay, Callback callback,
                           const char *label = nullptr);
+
+    /**
+     * Schedule `callback` after `delay` on `fence`: if the fence is
+     * bumped before the event fires, the event still fires (and counts
+     * as executed) but the callback does not run. `fence` must outlive
+     * the event.
+     */
+    EventId scheduleAfter(SimTime delay, const CrashFence &fence,
+                          Callback callback, const char *label = nullptr);
 
     /**
      * Cancel a pending event. No-op when the event already fired, was
@@ -133,6 +170,8 @@ class EventQueue
     {
         Callback callback;
         const char *label = nullptr;
+        const CrashFence *fence = nullptr; //!< nullptr = unfenced.
+        std::uint64_t era = 0;             //!< fence->era() at arming.
         std::uint32_t generation = 1;
         std::uint32_t heapPos = kNotInHeap;
     };
